@@ -49,25 +49,13 @@ void LstmCell::forward(const num::Matrix& x, const num::Matrix& h_prev,
   num::axpy(1.0f, pre_h.flat(), pre.flat());
   num::add_bias_rows(pre, b_.value.flat());
 
-  // Activate in place: blocks [f, i, o] -> sigmoid, [g] -> tanh.
-  for (num::Index r = 0; r < batch; ++r) {
-    auto row = pre.row(r);
-    for (num::Index j = 0; j < 3 * dh_; ++j) {
-      row[static_cast<std::size_t>(j)] =
-          num::sigmoid(row[static_cast<std::size_t>(j)]);
-    }
-    for (num::Index j = 3 * dh_; j < 4 * dh_; ++j) {
-      row[static_cast<std::size_t>(j)] =
-          num::tanh_act(row[static_cast<std::size_t>(j)]);
-    }
-  }
-
   // Snapshot the step inputs before the elementwise update can overwrite
   // an aliased previous state.
   if (cache != nullptr) {
     cache->x = x;
     cache->h_prev = h_prev;
     cache->c_prev = c_prev;
+    cache->tanh_c.resize(batch, dh_);
   }
 
   // Resize only on a shape change: an output that aliases its previous
@@ -75,29 +63,42 @@ void LstmCell::forward(const num::Matrix& x, const num::Matrix& h_prev,
   // be cleared before the elementwise update reads it.
   if (c_out.rows() != batch || c_out.cols() != dh_) c_out.resize(batch, dh_);
   if (h_out.rows() != batch || h_out.cols() != dh_) h_out.resize(batch, dh_);
-  num::Matrix& tanh_c =
-      cache != nullptr ? cache->tanh_c : ws_.uninit(kTanhC, batch, dh_);
-  if (cache != nullptr) tanh_c.resize(batch, dh_);
-  for (num::Index r = 0; r < batch; ++r) {
-    auto gates = pre.row(r);
-    auto cp = c_prev.row(r);
-    auto c = c_out.row(r);
-    auto h = h_out.row(r);
-    auto tc = tanh_c.row(r);
-    for (num::Index j = 0; j < dh_; ++j) {
-      const float f = gates[static_cast<std::size_t>(j)];
-      const float i = gates[static_cast<std::size_t>(dh_ + j)];
-      const float o = gates[static_cast<std::size_t>(2 * dh_ + j)];
-      const float g = gates[static_cast<std::size_t>(3 * dh_ + j)];
-      const float cj = f * cp[static_cast<std::size_t>(j)] + i * g;
-      c[static_cast<std::size_t>(j)] = cj;
-      const float t = num::tanh_act(cj);
-      tc[static_cast<std::size_t>(j)] = t;
-      h[static_cast<std::size_t>(j)] = o * t;
-    }
-  }
+  lstm_cell_update(pre, c_prev, c_out, h_out,
+                   cache != nullptr ? &cache->tanh_c : nullptr);
 
   if (cache != nullptr) cache->c = c_out;
+}
+
+void lstm_cell_update(num::Matrix& gates, const num::Matrix& c_prev,
+                      num::Matrix& c, num::Matrix& h, num::Matrix* tanh_c) {
+  const num::Index batch = gates.rows();
+  const num::Index dh = gates.cols() / 4;
+  ZSS_EXPECTS(gates.cols() == 4 * dh);
+  ZSS_EXPECTS(c_prev.rows() == batch && c_prev.cols() == dh);
+  ZSS_EXPECTS(c.rows() == batch && c.cols() == dh);
+  ZSS_EXPECTS(h.rows() == batch && h.cols() == dh);
+  ZSS_EXPECTS(tanh_c == nullptr ||
+              (tanh_c->rows() == batch && tanh_c->cols() == dh));
+  const auto n = static_cast<std::size_t>(dh);
+  for (num::Index r = 0; r < batch; ++r) {
+    const auto row = gates.row(r);
+    const auto sig = row.first(3 * n);
+    const auto g = row.last(n);
+    num::sigmoid(sig, sig);
+    num::tanh_act(g, g);
+    const float* f = row.data();
+    const float* i = f + n;
+    const float* o = i + n;
+    const float* cp = c_prev.row(r).data();
+    const auto cr = c.row(r);
+    for (std::size_t j = 0; j < n; ++j) {
+      cr[j] = num::madd(f[j], cp[j], i[j] * g[j]);
+    }
+    const auto hr = h.row(r);
+    const auto t = tanh_c != nullptr ? tanh_c->row(r) : hr;
+    num::tanh_act(cr, t);
+    for (std::size_t j = 0; j < n; ++j) hr[j] = o[j] * t[j];
+  }
 }
 
 LstmStepGrads LstmCell::backward(const LstmStepCache& cache,

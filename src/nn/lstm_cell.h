@@ -32,6 +32,20 @@ struct LstmStepCache {
   num::Matrix tanh_c;   // (B x dh)
 };
 
+/// The pointwise half of one LSTM step, shared by LstmCell::forward and
+/// core::SparseLstmEngine so training and inference round identically.
+/// Per row of the (B x 4dh) pre-activations `gates` ([f|i|o|g] blocks):
+///   1. activate in place: sigmoid over [0, 3dh), tanh over [3dh, 4dh);
+///   2. c = madd(f, c_prev, i * g);
+///   3. tanh(c), into `tanh_c` when given (training caches it), else h;
+///   4. h = o * tanh(c).
+/// The activations run through the SIMD backend's vector slots
+/// (num/activations.h). `c` may alias `c_prev`; all of c_prev, c, h and
+/// tanh_c are (B x dh) and already shaped. Allocates nothing.
+void lstm_cell_update(num::Matrix& gates, const num::Matrix& c_prev,
+                      num::Matrix& c, num::Matrix& h,
+                      num::Matrix* tanh_c = nullptr);
+
 /// Result of one forward step.
 struct LstmStepOutput {
   num::Matrix h;  // (B x dh)
@@ -89,14 +103,14 @@ class LstmCell {
   const Parameter& bias() const { return b_; }
 
  private:
-  enum Slot : std::size_t { kPre, kPreH, kTanhC };
+  enum Slot : std::size_t { kPre, kPreH };
 
   num::Index dx_;
   num::Index dh_;
   Parameter wx_;  // (4dh x dx)
   Parameter wh_;  // (4dh x dh)
   Parameter b_;   // (1 x 4dh)
-  // Scratch for the inference-path forward (pre-activations, tanh(c)).
+  // Scratch for the inference-path forward (pre-activations).
   // Mutable: reusing buffers does not change the cell's observable state.
   mutable num::Workspace ws_;
 };

@@ -2,7 +2,33 @@
 
 #include <algorithm>
 
+#include "num/simd/backend.h"
+
 namespace zss::num {
+
+namespace {
+
+// Same per-call, slot-granular fallback as the int8 slots in
+// num/kernels.cc: a backend without activation kernels (NEON today)
+// keeps its other kernels and gets the scalar twins here.
+const simd::KernelBackend& activation_backend() {
+  const simd::KernelBackend& active = simd::active_backend();
+  return active.sigmoid != nullptr && active.tanh != nullptr
+             ? active
+             : simd::kScalarBackend;
+}
+
+}  // namespace
+
+void sigmoid(std::span<const float> x, std::span<float> y) {
+  ZSS_EXPECTS(x.size() == y.size());
+  activation_backend().sigmoid(x.data(), y.data(), x.size());
+}
+
+void tanh_act(std::span<const float> x, std::span<float> y) {
+  ZSS_EXPECTS(x.size() == y.size());
+  activation_backend().tanh(x.data(), y.data(), x.size());
+}
 
 void softmax(std::span<float> logits) {
   ZSS_EXPECTS(!logits.empty());

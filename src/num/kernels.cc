@@ -27,42 +27,6 @@ void gemv(const Matrix& w, std::span<const float> x, std::span<float> y) {
                               w.cols());
 }
 
-void gemv_accum(const Matrix& w, std::span<const float> x,
-                std::span<float> y) {
-  ZSS_EXPECTS(w.cols() == static_cast<Index>(x.size()));
-  ZSS_EXPECTS(w.rows() == static_cast<Index>(y.size()));
-  const Index m = w.rows();
-  const Index n = w.cols();
-  const float* __restrict wp = w.data();
-  const float* __restrict xp = x.data();
-  float* __restrict yp = y.data();
-  Index i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* __restrict r0 = wp + i * n;
-    const float* __restrict r1 = r0 + n;
-    const float* __restrict r2 = r1 + n;
-    const float* __restrict r3 = r2 + n;
-    float a0 = yp[i], a1 = yp[i + 1], a2 = yp[i + 2], a3 = yp[i + 3];
-    for (Index j = 0; j < n; ++j) {
-      const float xv = xp[j];
-      a0 = madd(r0[j], xv, a0);
-      a1 = madd(r1[j], xv, a1);
-      a2 = madd(r2[j], xv, a2);
-      a3 = madd(r3[j], xv, a3);
-    }
-    yp[i] = a0;
-    yp[i + 1] = a1;
-    yp[i + 2] = a2;
-    yp[i + 3] = a3;
-  }
-  for (; i < m; ++i) {
-    const float* __restrict row = wp + i * n;
-    float acc = yp[i];
-    for (Index j = 0; j < n; ++j) acc = madd(row[j], xp[j], acc);
-    yp[i] = acc;
-  }
-}
-
 void axpy_col(const Matrix& w, Index col, float scale, std::span<float> y) {
   ZSS_EXPECTS(col >= 0 && col < w.cols());
   ZSS_EXPECTS(w.rows() == static_cast<Index>(y.size()));
@@ -300,18 +264,6 @@ float dot(std::span<const float> a, std::span<const float> b) {
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   ZSS_EXPECTS(x.size() == y.size());
   simd::active_backend().axpy(alpha, x.data(), y.data(), x.size());
-}
-
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out) {
-  ZSS_EXPECTS(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-}
-
-void hadamard_accum(std::span<const float> a, std::span<const float> b,
-                    std::span<float> out) {
-  ZSS_EXPECTS(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = madd(a[i], b[i], out[i]);
 }
 
 void add_bias_rows(Matrix& y, std::span<const float> b) {

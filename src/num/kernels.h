@@ -77,10 +77,6 @@ inline std::int32_t add_i32(std::int32_t a, std::int32_t b) {
 /// y = W * x. W is (m x n) row-major, x has n elements, y has m.
 void gemv(const Matrix& w, std::span<const float> x, std::span<float> y);
 
-/// y += W * x.
-void gemv_accum(const Matrix& w, std::span<const float> x,
-                std::span<float> y);
-
 /// y += W[:, col] * scale — one column accumulation, the building block of
 /// the input-stationary dataflow the accelerator uses (Fig. 5): each
 /// non-zero input element broadcasts down one weight column. Strided and
@@ -175,14 +171,6 @@ float dot(std::span<const float> a, std::span<const float> b);
 
 /// y += alpha * x.
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
-
-/// out = a (elementwise*) b.
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out);
-
-/// out += a (elementwise*) b.
-void hadamard_accum(std::span<const float> a, std::span<const float> b,
-                    std::span<float> out);
 
 /// y += b for every row of the (rows x cols) matrix view y.
 void add_bias_rows(Matrix& y, std::span<const float> b);

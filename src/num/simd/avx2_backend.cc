@@ -17,6 +17,7 @@
 // to run if the base translation units were built without FMA
 // contraction (madd_is_fused() == false) — mixing fused and unfused
 // chains is exactly the asymmetry bug PR 1 fixed.
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/simd/backend.h"
 #include "num/simd/multi_schedule.h"
@@ -370,6 +371,90 @@ void axpy_avx2(float alpha, const float* __restrict x, float* __restrict y,
   for (; i < n; ++i) y[i] = std::fmaf(alpha, x[i], y[i]);
 }
 
+// --- activations -----------------------------------------------------
+// Eight lanes of the scalar twins in num/activations.h, operation for
+// operation: the same clamps (min/max operand order included, so NaN
+// propagates identically), _mm256_fmadd_ps wherever the twin calls
+// num::madd, _mm256_floor_ps for std::floor, and the same bit-built
+// 2^n. Both tanh branches are computed and blended by the twin's own
+// branch condition. The n % 8 tail runs through the same vector code on
+// a padded copy rather than through the scalar twin, so this TU never
+// instantiates the inline twins under its -mavx2 -mfma flags.
+
+inline __m256 exp8(__m256 x) {
+  using namespace act;
+  x = _mm256_max_ps(_mm256_set1_ps(kExpLo),
+                    _mm256_min_ps(_mm256_set1_ps(kExpHi), x));
+  const __m256 fx = _mm256_floor_ps(
+      _mm256_fmadd_ps(x, _mm256_set1_ps(kLog2e), _mm256_set1_ps(0.5f)));
+  __m256 r = _mm256_fmadd_ps(fx, _mm256_set1_ps(-kLn2Hi), x);
+  r = _mm256_fmadd_ps(fx, _mm256_set1_ps(-kLn2Lo), r);
+  const __m256 z = _mm256_mul_ps(r, r);
+  __m256 y = _mm256_set1_ps(kExpP0);
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP1));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP2));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP3));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP4));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP5));
+  y = _mm256_fmadd_ps(y, z, r);
+  y = _mm256_add_ps(y, _mm256_set1_ps(1.0f));
+  const __m256 biased = _mm256_add_ps(
+      _mm256_add_ps(fx, _mm256_set1_ps(127.0f)), _mm256_set1_ps(kExpShift));
+  const __m256 pow2n =
+      _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_castps_si256(biased), 23));
+  return _mm256_mul_ps(y, pow2n);
+}
+
+inline __m256 sigmoid8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 neg = _mm256_xor_ps(x, _mm256_set1_ps(-0.0f));
+  return _mm256_div_ps(one, _mm256_add_ps(one, exp8(neg)));
+}
+
+inline __m256 tanh8(__m256 x) {
+  using namespace act;
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  // |x| < kTanhSmall: odd polynomial.
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 p = _mm256_set1_ps(kTanhP0);
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP1));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP2));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP3));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP4));
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), a, a);
+  // Otherwise: 1 - 2 / (e^{2|x|} + 1), |x| saturated.
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = exp8(_mm256_mul_ps(
+      _mm256_set1_ps(2.0f), _mm256_min_ps(_mm256_set1_ps(kTanhSat), a)));
+  const __m256 large = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+  const __m256 is_small =
+      _mm256_cmp_ps(a, _mm256_set1_ps(kTanhSmall), _CMP_LT_OQ);
+  const __m256 t = _mm256_blendv_ps(large, small, is_small);
+  return _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, x));
+}
+
+template <__m256 (*F)(__m256)>
+void map_avx2(const float* x, float* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, F(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    float lanes[8] = {};
+    std::memcpy(lanes, x + i, (n - i) * sizeof(float));
+    _mm256_storeu_ps(lanes, F(_mm256_loadu_ps(lanes)));
+    std::memcpy(y + i, lanes, (n - i) * sizeof(float));
+  }
+}
+
+void sigmoid_avx2(const float* x, float* y, std::size_t n) {
+  map_avx2<sigmoid8>(x, y, n);
+}
+
+void tanh_avx2(const float* x, float* y, std::size_t n) {
+  map_avx2<tanh8>(x, y, n);
+}
+
 // --- int8 kernels ----------------------------------------------------
 // The int8 contract is wraparound-i32 exactness (num::madd_i8), and
 // wrapping addition is associative — so unlike the fp32 kernels above,
@@ -380,8 +465,8 @@ void axpy_avx2(float alpha, const float* __restrict x, float* __restrict y,
 // vpmaddubsw: its u8 x s8 products pair-add with *16-bit saturation*,
 // which silently clamps and would break bit-exactness against the
 // reference twin; vpmaddwd at half the byte density is the fastest
-// AVX2 sequence that stays exact (true VNNI vpdpbusd lives in the
-// avx512 backend's future — ROADMAP).
+// AVX2 sequence that stays exact (true VNNI vpdpbusd needs a backend of
+// its own — ROADMAP).
 
 inline __m256i widen_i8(const std::int8_t* p) {
   return _mm256_cvtepi8_epi16(
@@ -634,6 +719,8 @@ const KernelBackend kAvx2Backend = {
     gemm_a_bt_i8_avx2,
     sparse_accum_rows_i8_avx2,
     sparse_accum_rows_multi_i8_avx2,
+    sigmoid_avx2,
+    tanh_avx2,
 };
 
 }  // namespace zss::num::simd

@@ -6,7 +6,7 @@
 // crunchers over pre-validated buffers). One backend is selected at
 // first use: the highest-priority backend whose available() check
 // passes, or the one named by the ZSS_KERNEL_BACKEND environment
-// variable (scalar | avx2 | avx512 | neon). Unknown or unavailable
+// variable (scalar | avx2 | neon). Unknown or unavailable
 // names fall back to scalar with a warning on stderr.
 //
 // Every backend implements the same contract as num::reference (see
@@ -109,6 +109,15 @@ struct KernelBackend {
                                      std::int32_t* out, Index batch,
                                      Index n) = nullptr;
 
+  // --- fp32 activation slots -----------------------------------------
+  // y[i] = num::sigmoid(x[i]) / num::tanh_act(x[i]) over [0, n); x and
+  // y may be the same buffer. Each lane must replay the scalar twin's
+  // operation sequence (num/activations.h) so the result is 0-ULP
+  // identical to it — docs/exactness.md "Nonlinearities". A backend
+  // that leaves a slot nullptr gets the scalar table's kernel per call.
+  void (*sigmoid)(const float* x, float* y, std::size_t n) = nullptr;
+  void (*tanh)(const float* x, float* y, std::size_t n) = nullptr;
+
   /// True when the kernel table is populated (false for stubs).
   bool implemented() const { return gemm_rows != nullptr; }
   /// True when the int8 kernel table is populated. Tracked separately so
@@ -119,12 +128,11 @@ struct KernelBackend {
   bool usable() const { return implemented() && available(); }
 };
 
-/// The four backends every binary carries. On foreign architectures a
+/// The three backends every binary carries. On foreign architectures a
 /// backend degrades to a stub entry (implemented() == false) so the
 /// registry listing is uniform everywhere.
 extern const KernelBackend kScalarBackend;  // PR-1 blocked loops, portable
 extern const KernelBackend kAvx2Backend;    // AVX2+FMA, x86 only
-extern const KernelBackend kAvx512Backend;  // stub — see its description
 extern const KernelBackend kNeonBackend;    // NEON, aarch64 only
 
 /// All compiled-in backends in selection-priority order (stubs included;

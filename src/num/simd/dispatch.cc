@@ -13,7 +13,6 @@ namespace {
 
 // Priority order: widest ISA first, scalar as the guaranteed fallback.
 const KernelBackend* const kRegistry[] = {
-    &kAvx512Backend,
     &kAvx2Backend,
     &kNeonBackend,
     &kScalarBackend,

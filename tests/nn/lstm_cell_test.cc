@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/rng.h"
 
@@ -104,6 +105,44 @@ TEST(LstmCellTest, CacheHoldsForwardActivations) {
   EXPECT_EQ(cache.c_prev, c);
   EXPECT_EQ(cache.c, out.c);
   EXPECT_EQ(cache.gates.cols(), 12);
+}
+
+TEST(LstmCellTest, CellUpdateIsTheDocumentedPointwiseSequence) {
+  // lstm_cell_update against its definition written out with the scalar
+  // twins, bitwise; and the in-place (c aliases c_prev) and no-tanh_c
+  // calling patterns of the engine give the same bits as training's.
+  Rng rng(6);
+  const Index batch = 3;
+  const Index dh = 21;  // odd: every vector tail of the activation slots
+  const Matrix pre = random_matrix(batch, 4 * dh, rng, 6.0);
+  const Matrix c_prev = random_matrix(batch, dh, rng, 2.0);
+
+  Matrix gates = pre;
+  Matrix c(batch, dh), h(batch, dh), tanh_c(batch, dh);
+  lstm_cell_update(gates, c_prev, c, h, &tanh_c);
+
+  for (Index r = 0; r < batch; ++r) {
+    for (Index j = 0; j < dh; ++j) {
+      const float f = num::sigmoid(pre(r, j));
+      const float i = num::sigmoid(pre(r, dh + j));
+      const float o = num::sigmoid(pre(r, 2 * dh + j));
+      const float g = num::tanh_act(pre(r, 3 * dh + j));
+      const float cj = num::madd(f, c_prev(r, j), i * g);
+      const float t = num::tanh_act(cj);
+      EXPECT_EQ(gates(r, j), f);
+      EXPECT_EQ(gates(r, 3 * dh + j), g);
+      EXPECT_EQ(c(r, j), cj);
+      EXPECT_EQ(tanh_c(r, j), t);
+      EXPECT_EQ(h(r, j), o * t);
+    }
+  }
+
+  Matrix gates2 = pre;
+  Matrix c2 = c_prev;  // updated in place
+  Matrix h2(batch, dh);
+  lstm_cell_update(gates2, c2, c2, h2);
+  EXPECT_EQ(c2, c);
+  EXPECT_EQ(h2, h);
 }
 
 // Finite-difference gradient check over every parameter and input. The

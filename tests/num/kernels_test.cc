@@ -30,14 +30,6 @@ TEST(KernelsTest, GemvMatchesManual) {
   EXPECT_FLOAT_EQ(y[1], -1.0f + 0.0f - 4.0f);
 }
 
-TEST(KernelsTest, GemvAccumAddsOnTop) {
-  Matrix w(1, 2, 1.0f);
-  const std::vector<float> x = {2.0f, 3.0f};
-  std::vector<float> y = {10.0f};
-  gemv_accum(w, x, y);
-  EXPECT_FLOAT_EQ(y[0], 15.0f);
-}
-
 TEST(KernelsTest, AxpyColAccumulatesOneColumn) {
   Rng rng(1);
   Matrix w = random_matrix(5, 4, rng);
@@ -141,18 +133,6 @@ TEST(KernelsTest, AxpyAndScale) {
   scale(y, 2.0f);
   EXPECT_FLOAT_EQ(y[0], 21.0f);
   EXPECT_FLOAT_EQ(y[1], 42.0f);
-}
-
-TEST(KernelsTest, HadamardVariants) {
-  const std::vector<float> a = {1.0f, -2.0f, 3.0f};
-  const std::vector<float> b = {2.0f, 2.0f, -1.0f};
-  std::vector<float> out(3);
-  hadamard(a, b, out);
-  EXPECT_FLOAT_EQ(out[0], 2.0f);
-  EXPECT_FLOAT_EQ(out[1], -4.0f);
-  EXPECT_FLOAT_EQ(out[2], -3.0f);
-  hadamard_accum(a, b, out);
-  EXPECT_FLOAT_EQ(out[0], 4.0f);
 }
 
 TEST(KernelsTest, AddBiasRows) {
