@@ -211,7 +211,6 @@ Result run_config(const nn::LstmCell& cell, float threshold,
   serve::PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.policy.max_wait_us = 0;  // closed loop: batches close on size
   serve::EnginePool pool(cell, pruner, config);
 
   auto enqueue_all = [&] {
@@ -307,7 +306,6 @@ LiveResult run_live_config(const nn::LstmCell& cell, float threshold,
   serve::PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.policy.max_wait_us = 200;
   serve::EnginePool pool(cell, pruner, config);
 
   std::mutex mu;
@@ -393,7 +391,6 @@ StackedResult run_stacked_config(const serve::ServeModel& model,
   serve::PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.policy.max_wait_us = 0;
   config.pipeline = pipeline;
   serve::EnginePool pool(model, config);
 
@@ -470,7 +467,6 @@ FrontendResult run_frontend_config(const nn::LstmCell& cell, float threshold,
   serve::PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 200;
   serve::EnginePool pool(cell, pruner, config);
 
   serve::FrontendConfig fc;
@@ -636,7 +632,6 @@ TieringResult run_tiering(const nn::LstmCell& cell, float threshold,
   serve::PoolConfig config;
   config.shards = 2;
   config.policy.max_batch = 4;
-  config.policy.max_wait_us = 0;
   config.session_ttl.max_sessions = max_sessions;
   config.spill.dir = dir;
   config.spill.encoded = encoded;
@@ -763,7 +758,6 @@ RecoveryResult run_recovery(const nn::LstmCell& cell, float threshold,
   serve::PoolConfig base;
   base.shards = 2;
   base.policy.max_batch = 4;
-  base.policy.max_wait_us = 0;
 
   // Drives steps [from, to) of every session and returns the wall ms.
   const auto drive = [&](serve::EnginePool& pool, num::Index from,

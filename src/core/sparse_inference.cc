@@ -55,7 +55,10 @@ SparseLstmEngine::SparseLstmEngine(const nn::LstmCell& cell,
       pruner_(&pruner),
       encoder_(encoder),
       quant_(quant),
-      packed_(nn::PackedLstmWeights::pack(cell)) {
+      // The int8 datapath reads only its own pack (QuantState); the
+      // fp32 one would be dead weight (4 bytes per weight per engine).
+      packed_(quant.enabled ? nn::PackedLstmWeights{}
+                            : nn::PackedLstmWeights::pack(cell)) {
   if (quant_.enabled) {
     ZSS_EXPECTS(quant_.pre_clip > 0.0f && quant_.c_clip >= 1);
     q_.emplace(cell, quant_);

@@ -208,6 +208,8 @@ class SparseLstmEngine {
   /// accumulates). Zero-initialized before the first step.
   const StepStats& last_step_stats() const { return last_; }
 
+  /// The fp32 packed weights; empty (0 x 0) in the quantized mode,
+  /// which never reads them — see packed_weights_i8().
   const nn::PackedLstmWeights& packed_weights() const { return packed_; }
 
   /// True when the engine was constructed with QuantConfig::enabled:

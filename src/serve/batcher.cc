@@ -4,7 +4,6 @@ namespace zss::serve {
 
 RequestBatcher::RequestBatcher(const BatchPolicy& policy) : policy_(policy) {
   ZSS_EXPECTS(policy.max_batch >= 1);
-  ZSS_EXPECTS(policy.max_wait_us >= 0);
   ring_.resize(64);
 }
 
@@ -28,11 +27,6 @@ void RequestBatcher::enqueue(const Request& r) {
   ++count_;
 }
 
-std::int64_t RequestBatcher::oldest_arrival_us() const {
-  ZSS_EXPECTS(count_ > 0);
-  return at(0).arrival_us;
-}
-
 num::Index RequestBatcher::conflict_free_prefix(num::Index cap) const {
   // The prefix must stay FIFO: stopping at the first duplicate session
   // (instead of skipping past it) is what preserves per-session order.
@@ -49,16 +43,6 @@ num::Index RequestBatcher::conflict_free_prefix(num::Index cap) const {
     if (duplicate) break;
   }
   return static_cast<num::Index>(n);
-}
-
-bool RequestBatcher::ready(std::int64_t now_us) const {
-  if (count_ == 0) return false;
-  const num::Index cap = policy_.max_batch;
-  const num::Index prefix = conflict_free_prefix(cap);
-  if (prefix >= cap) return true;
-  // A same-session conflict blocks growth; waiting cannot help.
-  if (prefix < static_cast<num::Index>(count_)) return true;
-  return now_us - oldest_arrival_us() >= policy_.max_wait_us;
 }
 
 num::Index RequestBatcher::pop_batch(std::vector<Request>& out) {

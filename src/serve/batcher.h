@@ -10,19 +10,22 @@
 // engine skipped only the intersection of the batch's zero patterns
 // (kept(B) ~= 1 - s^B, the paper's Fig. 7 — reproduced by
 // bench/fig7_batch_sparsity.cc) is therefore retired; docs/serving.md
-// records the policy history. A batch now closes on two knobs and one
-// structural rule:
-//   * it reached max_batch (staging memory, worst-case service time),
-//   * the oldest pending request waited max_wait_us (latency floor),
-//   * a batch never contains the same session twice — a session's
-//     second token must see the state its first one produced — so a
-//     batch is always the longest conflict-free FIFO prefix max_batch
-//     allows.
+// records the policy history.
 //
-// The batcher is deterministic and clock-free: callers pass `now_us`
-// explicitly (a virtual trace clock in replay/tests, a real clock in a
-// live server), so the same request stream and policy always produce
-// the same batch boundaries.
+// The batcher is work-conserving: it never holds a request to wait for
+// batch-mates. A batch is simply the longest conflict-free FIFO prefix
+// of what is pending, capped at max_batch:
+//   * max_batch bounds staging memory and worst-case service time,
+//   * a batch never contains the same session twice — a session's
+//     second token must see the state its first one produced.
+// Batching comes from the serving worker, not from a timer: whatever
+// arrives while a batch is being served (journal fsync included) is
+// pending when the worker comes back, and forms the next batch
+// (BatchMaker-style "cellular" batching, Gao et al., EuroSys 2018).
+// docs/serving.md records why the max-wait timer was retired.
+//
+// The batcher is deterministic and clock-free: the same request stream
+// and policy always produce the same batch boundaries.
 #pragma once
 
 #include <vector>
@@ -34,6 +37,8 @@ namespace zss::serve {
 
 struct BatchPolicy {
   num::Index max_batch = 8;
+  /// Ignored: batches never wait (see the top of this file). Kept so
+  /// existing callers and the `--max-wait-us` flag still compile/parse.
   std::int64_t max_wait_us = 200;
 };
 
@@ -49,20 +54,11 @@ class RequestBatcher {
   void reserve(num::Index n);
 
   num::Index pending() const { return static_cast<num::Index>(count_); }
-  std::int64_t oldest_arrival_us() const;
-
-  /// True when a batch should be served now: the conflict-free prefix
-  /// reached max_batch, a same-session conflict blocks further growth
-  /// anyway, or the oldest request exhausted max_wait_us.
-  bool ready(std::int64_t now_us) const;
 
   /// Pops the next batch (the conflict-free FIFO prefix, at most
   /// max_batch) into `out` (cleared first). Returns its size; 0 when
-  /// nothing is pending. Ignores max_wait — pair with ready(), or call
-  /// directly to flush.
+  /// nothing is pending.
   num::Index pop_batch(std::vector<Request>& out);
-
-  const BatchPolicy& policy() const { return policy_; }
 
  private:
   num::Index conflict_free_prefix(num::Index cap) const;

@@ -61,16 +61,21 @@ Frontend::Frontend(EnginePool& pool, FrontendConfig config, LiveConfig live)
   // authoritative table, durable under the journal); the response
   // carries the row digest, so the sink only formats and hands the
   // line to the event loop. client == 0 marks an in-process submission
-  // with no connection to route to.
+  // with no connection to route to. Only the append that finds the
+  // outbox empty wakes the loop: the loop consumes its wakeups before
+  // it swaps the outbox out under out_mu_, so a non-empty outbox always
+  // has a wakeup pending and the first append after a swap sends one.
   const ResponseSink sink = [this](const Response& r) {
     if (r.client == 0) return;
     std::string line = r.timed_out ? format_error("timeout")
                                    : format_response(r, r.row_digest);
+    bool was_empty;
     {
       std::lock_guard<std::mutex> lock(out_mu_);
+      was_empty = outbox_.empty();
       outbox_.emplace_back(r.client, std::move(line));
     }
-    wake();
+    if (was_empty) wake();
   };
   server_ = std::make_unique<LiveServer>(pool, sink, std::move(live));
 }

@@ -96,11 +96,12 @@ class EnginePool {
   /// Routes a request to its session's shard.
   void enqueue(const Request& r);
 
-  /// Sequentially serves at most one due batch per shard. Returns total
+  /// Sequentially serves at most one batch per shard. Returns total
   /// requests consumed; call in a loop until 0 to settle a timestep.
   num::Index process_ready(std::int64_t now_us, const ResponseSink& sink);
 
-  /// Sequentially drains every queue (ignores max-wait).
+  /// Sequentially drains every queue (with pipelining, through each
+  /// shard's layer wavefront).
   num::Index flush(std::int64_t now_us, const ResponseSink& sink);
 
   /// Drains every shard on its own thread (shared-nothing, so outputs

@@ -107,16 +107,10 @@ void EngineShard::init(const BatchPolicy& policy) {
   }
 }
 
-num::Index EngineShard::process_ready(std::int64_t now_us,
-                                      const ResponseSink& sink) {
-  if (!batcher_.ready(now_us)) return 0;
-  return step_batch(now_us, sink);
-}
-
 num::Index EngineShard::flush(std::int64_t now_us, const ResponseSink& sink) {
   if (pipeline_) return flush_wavefront(now_us, sink);
   num::Index served = 0;
-  while (num::Index n = step_batch(now_us, sink)) served += n;
+  while (num::Index n = process_ready(now_us, sink)) served += n;
   return served;
 }
 
@@ -171,8 +165,8 @@ num::Index EngineShard::drop_expired(std::vector<Request>& requests,
   return w;
 }
 
-num::Index EngineShard::step_batch(std::int64_t now_us,
-                                   const ResponseSink& sink) {
+num::Index EngineShard::process_ready(std::int64_t now_us,
+                                      const ResponseSink& sink) {
   const num::Index consumed = batcher_.pop_batch(batch_);
   if (consumed == 0) return 0;
   // The popped batch's newest stamp bounds every future arrival even
@@ -342,7 +336,7 @@ num::Index EngineShard::retire(Flight& f, std::int64_t now_us,
   ++stats_.batches;
   const num::Matrix& top =
       f.ff[static_cast<std::size_t>((engine_.layers() - 1) % 2)];
-  // Same commit-before-delivery ordering as step_batch.
+  // Same commit-before-delivery ordering as process_ready.
   row_digests_.clear();
   for (num::Index r = 0; r < B; ++r) {
     Session& s = *f.lanes[static_cast<std::size_t>(r)];

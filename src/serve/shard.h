@@ -64,7 +64,7 @@ struct ShardStats {
   num::Index requests = 0;
   num::Index batches = 0;
   double busy_us = 0.0;  // wall-clock spent inside step/tick work
-  /// CPU time this shard's thread spent inside step_batch. Unlike
+  /// CPU time this shard's thread spent inside process_ready. Unlike
   /// busy_us this does not count time spent descheduled, so it is the
   /// right numerator for capacity/scaling claims on machines with
   /// fewer cores than shards (bench_serving records both).
@@ -104,23 +104,22 @@ class EngineShard {
 
   void enqueue(const Request& r) { batcher_.enqueue(r); }
 
-  /// Serves at most one batch, and only if the policy says one is due
-  /// at `now_us`. Returns the number of requests consumed from the
-  /// queue (0 = not due): served ones plus any answered `err timeout`
-  /// — every consumed request produces exactly one sink call either
-  /// way. Always the sequential schedule — the wavefront lives in
-  /// flush().
+  /// Serves the next batch if anything is pending — batches never wait
+  /// (serve/batcher.h). Returns the number of requests consumed from
+  /// the queue (0 = nothing pending): served ones plus any answered
+  /// `err timeout` — every consumed request produces exactly one sink
+  /// call either way. Always the sequential schedule — the wavefront
+  /// lives in flush().
   num::Index process_ready(std::int64_t now_us, const ResponseSink& sink);
 
-  /// Serves everything queued, ignoring max-wait (trace end, shutdown,
-  /// closed-loop benches). Batches still respect max_batch and session
-  /// conflicts. With pipelining enabled and a multi-layer model, runs
-  /// the layer wavefront described above. Returns requests consumed
-  /// (served + timed out), as process_ready.
+  /// Serves everything queued (shutdown, the `flush` verb, closed-loop
+  /// benches). Batches still respect max_batch and session conflicts.
+  /// With pipelining enabled and a multi-layer model, runs the layer
+  /// wavefront described above. Returns requests consumed (served +
+  /// timed out), as process_ready.
   num::Index flush(std::int64_t now_us, const ResponseSink& sink);
 
   num::Index pending() const { return batcher_.pending(); }
-  const RequestBatcher& batcher() const { return batcher_; }
   const core::StackedEngine& engine() const { return engine_; }
   SessionStore& sessions() { return sessions_; }
   const SessionStore& sessions() const { return sessions_; }
@@ -162,7 +161,6 @@ class EngineShard {
   /// preserved). Returns the new batch size.
   num::Index drop_expired(std::vector<Request>& requests, num::Index batch,
                           std::int64_t now_us, const ResponseSink& sink);
-  num::Index step_batch(std::int64_t now_us, const ResponseSink& sink);
   num::Index flush_wavefront(std::int64_t now_us, const ResponseSink& sink);
   void build_input(const std::vector<Request>& requests, num::Index batch,
                    num::Matrix& x);

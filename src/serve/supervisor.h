@@ -9,13 +9,11 @@
 // from its journal, mount a fresh worker. Surviving shards serve
 // throughout; the restarted shard resumes from its last group-commit.
 //
-// Threshold discipline: a worker sleeping toward its batcher's
-// max-wait deadline legitimately freezes its heartbeat with work
-// queued, so `stall_ms` must comfortably exceed max_wait_us / 1000
-// (and the worst-case batch service time). The constructor enforces
-// nothing — the caller knows its policy — but zss_serve refuses a
-// stall bound below its batcher max-wait. An idle worker (inflight ==
-// 0) never trips the watchdog no matter how long it sleeps.
+// Threshold discipline: a worker holding work never sleeps — it serves
+// batch after batch (serve/worker.h), stamping its heartbeat per batch
+// and per response — so `stall_ms` need only exceed the worst-case
+// service time of one batch. An idle worker (inflight == 0) never
+// trips the watchdog no matter how long it sleeps.
 //
 // Misjudgment safety: restart correctness does NOT depend on the
 // stall verdict being right. Abandonment is checked by the worker

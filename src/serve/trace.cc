@@ -2,7 +2,6 @@
 
 #include "serve/protocol.h"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -105,34 +104,13 @@ ReplayResult replay(EnginePool& pool, const std::vector<TraceEvent>& events,
     ++responses;
     sink(r);
   };
-  // Earliest instant at which some shard's oldest pending request
-  // exhausts its max-wait budget; max() when nothing is pending.
-  const auto next_deadline = [&pool] {
-    auto due = std::numeric_limits<std::int64_t>::max();
-    for (num::Index s = 0; s < pool.num_shards(); ++s) {
-      const EngineShard& shard = pool.shard(s);
-      if (shard.pending() == 0) continue;
-      due = std::min(due, shard.batcher().oldest_arrival_us() +
-                              shard.batcher().policy().max_wait_us);
-    }
-    return due;
-  };
-  // Settle one instant: serving a batch may make the next one due (a
-  // same-session conflict that just unblocked, say).
-  const auto settle = [&](std::int64_t t) {
-    while (pool.process_ready(t, counting) > 0) {
-    }
-  };
-  for (const TraceEvent& e : events) {
-    // A live poller fires max-wait deadlines as they expire. Replay the
-    // ones falling strictly before this arrival at their own instants,
-    // so an overdue batch is served on time instead of being held for
-    // (and batched with) a much later arrival.
-    for (auto due = next_deadline(); due < e.arrival_us;
-         due = next_deadline()) {
-      now = due;
-      settle(due);
-    }
+  // The virtual-clock twin of the work-conserving worker, whose service
+  // takes no virtual time: the arrivals of one instant are enqueued
+  // together and served at that instant, so no request ever waits for
+  // a later one. Settling serves batch after batch until every shard
+  // is empty (a same-session conflict splits an instant's arrivals).
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     now = e.arrival_us;
     Request r;
     r.session = e.session;
@@ -140,13 +118,10 @@ ReplayResult replay(EnginePool& pool, const std::vector<TraceEvent>& events,
     r.arrival_us = e.arrival_us;
     r.seq = seq++;
     pool.enqueue(r);
-    settle(now);
     ++result.requests;
-  }
-  // Trace over: serve each straggler batch at its own deadline.
-  while (pool.pending() > 0) {
-    now = next_deadline();
-    settle(now);
+    if (i + 1 < events.size() && events[i + 1].arrival_us == now) continue;
+    while (pool.process_ready(now, counting) > 0) {
+    }
   }
   result.responses = responses;
   result.end_us = now;

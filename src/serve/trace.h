@@ -1,11 +1,11 @@
 // Request traces — the deterministic drive format of the serving layer.
 //
 // A trace is a list of (arrival_us, session, token) events sorted by
-// arrival time. Replay runs a virtual clock over the events: max-wait
-// deadlines falling between arrivals fire at their own instants (what
-// a live poller would do), each arrival is enqueued and its instant
-// settled, and after the last event every straggler batch is served at
-// its own deadline. Replay is a pure function of (trace, pool
+// arrival time. Replay runs a virtual clock over the events: the
+// arrivals of each instant are enqueued together and served at that
+// instant, as a work-conserving worker with free service would (events
+// sharing a stamp share batches; a lone arrival is a batch of one).
+// Replay is a pure function of (trace, pool
 // configuration) — no real clock is read — which is what makes the
 // shard-determinism guarantee testable and the CI smoke run
 // reproducible.
@@ -53,7 +53,7 @@ std::vector<TraceEvent> synthetic_trace(num::Index requests,
 struct ReplayResult {
   num::Index requests = 0;
   num::Index responses = 0;
-  std::int64_t end_us = 0;  // virtual time of the final flush
+  std::int64_t end_us = 0;  // virtual time of the last arrival
 };
 
 /// Replays the trace through the pool under the virtual clock. The sink

@@ -160,20 +160,15 @@ void ShardWorker::run(Control& c) {
     for (const Request& r : c.taking) c.shard->enqueue(r);
     c.taking.clear();
 
+    // Work-conserving: serve one batch of whatever is pending, then
+    // take the inbox again. Requests that arrive while a batch is
+    // served — its journal fsync included — join the next batch, so
+    // batches grow with load and a lone request never waits.
     const std::int64_t now = c.now();
     if (stopping || flushing) {
       c.shard->flush(now, fenced);
     } else {
-      // Serving a batch can make the next one due (an unblocked
-      // same-session conflict), so settle the instant — but the chain
-      // is unbounded, so re-check abandonment and re-stamp the
-      // heartbeat between batches: a worker judged dead mid-settle
-      // must stop touching the shard, and a healthy one deep in
-      // backlog must not read as wedged.
-      while (!c.abandoned.load(std::memory_order_acquire) &&
-             c.shard->process_ready(now, fenced) > 0) {
-        c.heartbeat_us.store(mono_now_us(), std::memory_order_relaxed);
-      }
+      c.shard->process_ready(now, fenced);
     }
 
     lock.lock();
@@ -183,26 +178,12 @@ void ShardWorker::run(Control& c) {
       if (c.inbox.empty()) break;
       continue;
     }
-    if (c.stop || c.flush || !c.inbox.empty() ||
-        c.abandoned.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    if (c.shard->pending() > 0) {
-      // Sleep toward the oldest request's max-wait deadline; a new
-      // submission wakes us earlier. Waking late moves batch
-      // boundaries only — never values (the determinism guarantee).
-      const std::int64_t deadline = c.shard->batcher().oldest_arrival_us() +
-                                    c.shard->batcher().policy().max_wait_us;
-      const std::int64_t wait = deadline - c.now();
-      if (wait > 0) {
-        c.cv.wait_for(lock, std::chrono::microseconds(wait));
-      }
-    } else {
-      c.cv.wait(lock, [&c] {
-        return c.stop || c.flush || !c.inbox.empty() ||
-               c.abandoned.load(std::memory_order_relaxed);
-      });
-    }
+    // Park only when there is nothing at all to do.
+    c.cv.wait(lock, [&c] {
+      return c.stop || c.flush || !c.inbox.empty() ||
+             c.shard->pending() > 0 ||
+             c.abandoned.load(std::memory_order_relaxed);
+    });
   }
   lock.unlock();
   c.exited.store(true, std::memory_order_release);

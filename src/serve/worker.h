@@ -5,9 +5,8 @@
 // drain*: fine for a closed-loop bench, hopeless for live traffic
 // (thread create/join per timestep). This layer keeps one persistent
 // worker thread per shard, woken by a condition variable when work
-// arrives and sleeping toward the batcher's max-wait deadline
-// otherwise, so an idle server burns no CPU and a busy one never pays
-// thread churn.
+// arrives and parked only when it has none, so an idle server burns no
+// CPU and a busy one never pays thread churn.
 //
 // Threading model (docs/serving.md "Live mode"):
 //   * Producers call LiveServer::submit() from any thread. A single
@@ -21,7 +20,10 @@
 //   * Each ShardWorker drains its two-buffer inbox (producers append
 //     under a short lock; the worker swaps buffers and drains outside
 //     it — the MPSC handoff), feeds its shard's RequestBatcher, and
-//     serves due batches. The shard itself stays single-threaded:
+//     serves one batch; then it takes the inbox again. It is
+//     work-conserving: a batch is whatever is pending when the worker
+//     is free (capped at max_batch), and whatever arrives while it
+//     serves forms the next one. The shard itself stays single-threaded:
 //     everything PR 3 proved about shared-nothing shards still holds,
 //     the worker is just a persistent home for that thread.
 //   * Wake-time jitter moves batch *boundaries*, never values: the
@@ -29,13 +31,12 @@
 //     session TTL/LRU decisions are arrival-driven (serve/session.h).
 //
 // Supervision (docs/serving.md "Crash recovery"): each worker stamps a
-// monotonic heartbeat at every loop iteration, between the batches of
-// a settle pass, and at every response delivery, so a watchdog
+// monotonic heartbeat at every loop iteration (once per batch) and at
+// every response delivery, so a watchdog
 // (serve/supervisor.h) can tell a busy worker — however deep its
 // backlog — from a wedged one. A worker judged dead is *abandoned* — a
 // cooperative flag it checks before every touch of the shard (the
-// pre-serve checkpoint and again between the batches of a settle pass)
-// AND at every response delivery: the worker's sink fence drops any
+// pre-serve checkpoint, once per batch) AND at every response delivery: the worker's sink fence drops any
 // response once the flag is set, so even a thread that was wedged
 // mid-batch inside the engine and resumes after the abandon grace can
 // never hand out a response the rebuilt shard will re-serve (the
@@ -93,11 +94,8 @@ std::int64_t mono_now_us();
 struct LiveConfig {
   /// Clock used for arrival stamps and serve instants, in microseconds.
   /// Empty = steady clock, zeroed at LiveServer construction. Tests may
-  /// inject a fake — condvar waits time out on the real clock, but the
-  /// max-wait deadline is computed in this clock's timebase, so a fake
-  /// clock moves batch boundaries only (which the determinism guarantee
-  /// absorbs); a *frozen* fake clock never reaches a max-wait deadline
-  /// and defers partial batches to flush/shutdown.
+  /// inject a fake: it moves stamps and serve instants (so TTL and
+  /// request-deadline decisions), never when a batch is served.
   std::function<std::int64_t()> now_us;
   /// Per-shard backpressure: submit() sheds (returns nullopt) when the
   /// target worker already holds this many unserved requests.
@@ -140,8 +138,9 @@ class ShardWorker {
   /// after abandon().
   bool submit(const Request& r);
 
-  /// Asks the worker to serve everything queued (ignoring max-wait)
-  /// on its next wakeup.
+  /// Asks the worker to serve everything queued in one pass on its
+  /// next wakeup (through the layer wavefront when the shard
+  /// pipelines).
   void request_flush();
 
   /// Drain-then-exit: the worker serves its inbox and queue, then
@@ -160,8 +159,7 @@ class ShardWorker {
   bool abandon();
 
   /// Monotonic stamp (mono_now_us timebase) of the worker's last sign
-  /// of life: loop iteration, settle-pass batch boundary, or response
-  /// delivery. The watchdog's liveness signal: a worker with queued
+  /// of life: loop iteration (once per batch) or response delivery. The watchdog's liveness signal: a worker with queued
   /// work whose heartbeat stops advancing is wedged — and because the
   /// stamp advances per *response*, a healthy worker grinding through
   /// an arbitrarily deep backlog never reads as wedged.
@@ -251,8 +249,9 @@ class LiveServer {
                                       std::uint64_t client = 0,
                                       SubmitStatus* status = nullptr);
 
-  /// Asks every worker to drain its queue without waiting for max-wait
-  /// deadlines (the protocol's `flush` verb). Asynchronous.
+  /// Asks every worker to drain its queue in one pass (the protocol's
+  /// `flush` verb). Workers never hold work, so this only changes the
+  /// schedule, not when requests are answered. Asynchronous.
   void flush_all();
 
   /// Graceful shutdown: refuses new submissions, lets every worker

@@ -118,6 +118,23 @@ TEST_F(QuantizedInferenceTest, QuantizedAccessorsAndSharedScale) {
   EXPECT_EQ(q.packed_weights_i8()->weight_scale.scale, twin.weight_scale());
 }
 
+TEST_F(QuantizedInferenceTest, QuantizedEngineHoldsNoFp32Pack) {
+  // The int8 datapath never reads the fp32 pack, so a quantized engine
+  // must not pay for one: 4 bytes per weight, per engine, per shard.
+  StatePruner pruner(PrunerConfig::fixed(0.08f));
+  SparseLstmEngine fp32(cell_, pruner);
+  EXPECT_GT(fp32.packed_weights().wht.size(), 0);
+  EXPECT_GT(fp32.packed_weights().wxt.size(), 0);
+
+  SparseLstmEngine q(cell_, pruner, {}, QuantConfig::int8());
+  const nn::PackedLstmWeights& packed = q.packed_weights();
+  EXPECT_EQ(packed.wht.size(), 0);
+  EXPECT_EQ(packed.wxt.size(), 0);
+  EXPECT_EQ(packed.bias.size(), 0);
+  EXPECT_EQ(packed.wht.capacity(), 0);
+  EXPECT_EQ(packed.wxt.capacity(), 0);
+}
+
 TEST_F(QuantizedInferenceTest, BatchCompositionDoesNotChangeALane) {
   // Serving determinism at the engine level: a lane stepped alone must
   // match the same lane stepped inside a batch of strangers — all

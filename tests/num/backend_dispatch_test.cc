@@ -130,7 +130,9 @@ TEST_F(BackendDispatchTest, Int8SlotsAreAllOrNothingPerBackend) {
   // Every *implemented* backend in this repo carries the int8 table;
   // only foreign-architecture stubs lack it.
   for (const KernelBackend* b : registered_backends()) {
-    if (b->implemented()) EXPECT_TRUE(b->implemented_i8()) << b->name;
+    if (b->implemented()) {
+      EXPECT_TRUE(b->implemented_i8()) << b->name;
+    }
   }
 }
 

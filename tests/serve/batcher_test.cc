@@ -4,8 +4,9 @@
 
 #include <vector>
 
-// The batcher is clock-free: `now_us` is always passed in, so these
-// tests drive it with a fake clock (plain integers) and assert batch
+// The batcher is clock-free and work-conserving: a batch is the longest
+// conflict-free FIFO prefix of what is pending, capped at max_batch,
+// and nothing ever waits for batch-mates. These tests assert batch
 // boundaries exactly.
 namespace zss::serve {
 namespace {
@@ -20,66 +21,64 @@ Request req(SessionId session, std::int64_t arrival_us,
   return r;
 }
 
-TEST(RequestBatcherTest, CoalescesUpToMaxBatchImmediately) {
+TEST(RequestBatcherTest, BatchClosesAtMaxBatch) {
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 1000;
   RequestBatcher b(policy);
 
-  for (SessionId s = 1; s <= 3; ++s) b.enqueue(req(s, /*arrival=*/0));
-  EXPECT_FALSE(b.ready(0)) << "3 < max_batch and nothing waited long enough";
-
-  b.enqueue(req(4, 0));
-  EXPECT_TRUE(b.ready(0)) << "a full batch serves immediately";
+  for (SessionId s = 1; s <= 5; ++s) b.enqueue(req(s, /*arrival=*/0));
 
   std::vector<Request> out;
-  EXPECT_EQ(b.pop_batch(out), 4);
-  EXPECT_EQ(b.pending(), 0);
+  EXPECT_EQ(b.pop_batch(out), 4) << "a batch never exceeds max_batch";
+  EXPECT_EQ(b.pending(), 1);
   // FIFO order preserved.
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].session, static_cast<SessionId>(i + 1));
   }
+  EXPECT_EQ(b.pop_batch(out), 1);
+  EXPECT_EQ(out[0].session, 5u);
+  EXPECT_EQ(b.pending(), 0);
+  EXPECT_EQ(b.pop_batch(out), 0) << "nothing pending, no batch";
 }
 
-TEST(RequestBatcherTest, MaxWaitTimeoutServesPartialBatch) {
+TEST(RequestBatcherTest, PartialBatchIsServedWithoutWaiting) {
+  // max_wait_us is ignored: a lone request, or a partial batch with
+  // room to grow, is a whole batch the moment it is popped — even with
+  // an hour of max-wait configured.
   BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_us = 200;
+  policy.max_wait_us = 3'600'000'000LL;
   RequestBatcher b(policy);
 
-  b.enqueue(req(1, 100));
-  b.enqueue(req(2, 150));
-  EXPECT_FALSE(b.ready(100));
-  EXPECT_FALSE(b.ready(299)) << "oldest has waited 199us < 200us";
-  EXPECT_TRUE(b.ready(300)) << "oldest hit its max-wait deadline";
-
   std::vector<Request> out;
-  EXPECT_EQ(b.pop_batch(out), 2);
+  b.enqueue(req(1, /*arrival=*/100));
+  EXPECT_EQ(b.pop_batch(out), 1);
+  EXPECT_EQ(out[0].arrival_us, 100);
+
+  b.enqueue(req(2, 200));
+  b.enqueue(req(3, 250));
+  EXPECT_EQ(b.pop_batch(out), 2) << "all of what is pending, no more";
+  EXPECT_EQ(b.pending(), 0);
 }
 
 TEST(RequestBatcherTest, SameSessionNeverSharesABatch) {
   BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_us = 1000;
   RequestBatcher b(policy);
 
   // Session 7's second token must see the state its first produced, so
-  // the batch stops at the duplicate — and serves immediately, since
-  // waiting cannot unblock it.
+  // the batch stops at the duplicate.
   b.enqueue(req(1, 0, 0));
   b.enqueue(req(7, 0, 1));
   b.enqueue(req(7, 0, 2));
   b.enqueue(req(2, 0, 3));
-  EXPECT_TRUE(b.ready(0));
 
   std::vector<Request> out;
   EXPECT_EQ(b.pop_batch(out), 2);
   EXPECT_EQ(out[0].session, 1u);
   EXPECT_EQ(out[1].session, 7u);
   // The remainder — 7's second token, then session 2 — has no internal
-  // conflict anymore, so it coalesces normally instead of rushing out.
-  EXPECT_FALSE(b.ready(0));
-  EXPECT_TRUE(b.ready(1000)) << "max-wait still bounds the remainder";
+  // conflict anymore, so it is the next batch.
   EXPECT_EQ(b.pop_batch(out), 2);
   EXPECT_EQ(out[0].session, 7u);
   EXPECT_EQ(out[0].seq, 2u);
@@ -90,13 +89,12 @@ TEST(RequestBatcherTest, SameSessionNeverSharesABatch) {
 // feedback) was retired when the engine gained the per-lane batched
 // skip path: effectual work now scales with each lane's own sparsity,
 // so there is no intersected-kept fraction left to budget. The batcher
-// closes batches on max_batch / max_wait / session conflicts only.
+// closes batches on max_batch / session conflicts only.
 
-// --- Wraparound / max-wait edge regressions (PR 4 audit) -------------
-// The audit walked every head_/count_ transition: growth triggered
-// exactly at capacity, pop landing head_ exactly on the wrap point,
-// a direct reserve() while the ring is wrapped, and the max-wait
-// comparison at its exact boundary. Each case below pins one of them.
+// --- Wraparound edge regressions -------------------------------------
+// Every head_/count_ transition: growth triggered exactly at capacity,
+// pop landing head_ exactly on the wrap point, and a direct reserve()
+// while the ring is wrapped. Each case below pins one of them.
 
 TEST(RequestBatcherTest, BatchClosingExactlyAtRingCapacity) {
   // The ring starts at capacity 64; filling it exactly (count_ ==
@@ -105,14 +103,12 @@ TEST(RequestBatcherTest, BatchClosingExactlyAtRingCapacity) {
   // and must not have grown the ring.
   BatchPolicy policy;
   policy.max_batch = 64;
-  policy.max_wait_us = 0;
   RequestBatcher b(policy);
 
   for (std::uint64_t i = 0; i < 64; ++i) {
     b.enqueue(req(/*session=*/100 + i, 0, i));
   }
   EXPECT_EQ(b.pending(), 64);
-  EXPECT_TRUE(b.ready(0)) << "a full batch at exact capacity is due";
   std::vector<Request> out;
   EXPECT_EQ(b.pop_batch(out), 64);
   for (std::uint64_t i = 0; i < 64; ++i) EXPECT_EQ(out[i].seq, i);
@@ -131,7 +127,6 @@ TEST(RequestBatcherTest, GrowthTriggeredWithWrappedHeadPreservesFifo) {
   // grows a wrapped ring: the relocation must preserve FIFO order.
   BatchPolicy policy;
   policy.max_batch = 16;
-  policy.max_wait_us = 0;
   RequestBatcher b(policy);
 
   std::uint64_t next = 0;
@@ -153,7 +148,6 @@ TEST(RequestBatcherTest, GrowthTriggeredWithWrappedHeadPreservesFifo) {
 TEST(RequestBatcherTest, ExplicitReserveWhileWrappedPreservesFifo) {
   BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_us = 0;
   RequestBatcher b(policy);
 
   std::uint64_t next = 0;
@@ -184,7 +178,6 @@ TEST(RequestBatcherTest, ConflictRequeueOrderingSurvivesWrap) {
   // per-session guarantee leans on).
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   RequestBatcher b(policy);
 
   std::uint64_t next = 0;
@@ -212,29 +205,9 @@ TEST(RequestBatcherTest, ConflictRequeueOrderingSurvivesWrap) {
   }
 }
 
-TEST(RequestBatcherTest, MaxWaitBoundaryIsExact) {
-  BatchPolicy policy;
-  policy.max_batch = 8;
-  policy.max_wait_us = 100;
-  RequestBatcher b(policy);
-  b.enqueue(req(1, /*arrival=*/50));
-  EXPECT_FALSE(b.ready(149)) << "one microsecond early";
-  EXPECT_TRUE(b.ready(150)) << "exactly at the deadline";
-
-  // max_wait_us = 0: every arrived request is immediately due, even a
-  // batch of one with room to grow.
-  BatchPolicy eager;
-  eager.max_batch = 8;
-  eager.max_wait_us = 0;
-  RequestBatcher e(eager);
-  e.enqueue(req(1, 1000));
-  EXPECT_TRUE(e.ready(1000)) << "zero max-wait serves at its own arrival";
-}
-
 TEST(RequestBatcherTest, RingSurvivesGrowthAndWrapAround) {
   BatchPolicy policy;
   policy.max_batch = 3;
-  policy.max_wait_us = 0;  // everything is always due
   RequestBatcher b(policy);
 
   // Interleave enqueue/pop far past the initial ring capacity so the

@@ -90,7 +90,6 @@ void run_storm(nn::LstmCell& cell, core::StatePruner& pruner,
   PoolConfig pc;
   pc.shards = shards;
   pc.policy.max_batch = 8;
-  pc.policy.max_wait_us = 200;
   EnginePool pool(cell, pruner, pc);
 
   FrontendConfig fc;
@@ -231,7 +230,6 @@ void run_storm(nn::LstmCell& cell, core::StatePruner& pruner,
     PoolConfig rpc;
     rpc.shards = replay_shards;
     rpc.policy.max_batch = 8;
-    rpc.policy.max_wait_us = 200;
     EnginePool replay_pool(cell, pruner, rpc);
     DigestTable replayed;
     const ResponseSink sink = [&](const Response& r) {
@@ -270,7 +268,6 @@ TEST_F(FrontendFuzzTest, StopDuringStormKeepsRecordingReplayable) {
     PoolConfig pc;
     pc.shards = 2;
     pc.policy.max_batch = 8;
-    pc.policy.max_wait_us = 200;
     EnginePool pool(cell_, pruner_, pc);
     FrontendConfig fc;
     fc.unix_path = "/tmp/zss_frontend_fuzz_stop_" +

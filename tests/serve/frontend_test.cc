@@ -82,14 +82,35 @@ class FrontendTest : public ::testing::Test {
 
   ~FrontendTest() override { ::unlink(sock_path_.c_str()); }
 
-  PoolConfig pool_config(num::Index shards = 2,
-                         std::int64_t max_wait_us = 200) {
+  PoolConfig pool_config(num::Index shards = 2) {
     PoolConfig config;
     config.shards = shards;
     config.policy.max_batch = 8;
-    config.policy.max_wait_us = max_wait_us;
     return config;
   }
+
+  /// Parks every shard worker before it serves anything it takes (the
+  /// supervisor tests' wedge hook), so in-flight counts stay exact
+  /// until release(). Declared after the Frontend, it also releases on
+  /// destruction: a failed assertion never leaves ~Frontend joining a
+  /// parked worker.
+  class WedgedWorkers {
+   public:
+    explicit WedgedWorkers(Frontend& frontend) : server_(frontend.server()) {
+      for (num::Index s = 0; s < server_.num_workers(); ++s) {
+        server_.worker(s).wedge_for_testing();
+      }
+    }
+    ~WedgedWorkers() { release(); }
+    void release() {
+      for (num::Index s = 0; s < server_.num_workers(); ++s) {
+        server_.worker(s).release_wedge();
+      }
+    }
+
+   private:
+    LiveServer& server_;
+  };
 
   /// Per-test-unique socket path (tests run in one process; a counter
   /// keeps paths distinct across tests and fixture reuses).
@@ -261,11 +282,33 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
   std::string error;
   ASSERT_TRUE(frontend.start(&error)) << error;
 
-  constexpr int kStalledSteps = 200;
   ClientConn stalled = connect_greet(fc.unix_path);
+  // Backpressure engages only once the kernel stops taking the stalled
+  // connection's responses, so send enough steps that their payload
+  // bytes alone overflow its send buffer (both ends of an AF_UNIX pair
+  // get the system default), plus the write-buffer cap and one line of
+  // slack — whatever per-send overhead the kernel charges.
+  int sndbuf = 0;
+  socklen_t optlen = sizeof sndbuf;
+  ASSERT_EQ(::getsockopt(stalled.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &optlen),
+            0);
+  Response shortest;
+  shortest.session = 77;
+  shortest.seq = 0;
+  shortest.batch = 1;
+  const std::size_t min_line = format_response(shortest, 0).size() + 1;
+  const int kStalledSteps = static_cast<int>(
+      (static_cast<std::size_t>(sndbuf) + 2 * fc.max_write_buffer) / min_line +
+      1);
+  // One write: the request bytes are ~2.7x fewer than the response
+  // bytes, so they fit the client's own buffer even after the server
+  // stops reading.
+  std::string blob;
   for (int i = 0; i < kStalledSteps; ++i) {
-    ASSERT_TRUE(stalled.send_line("step 77 " + std::to_string(i % 5)));
+    if (i > 0) blob += '\n';
+    blob += "step 77 " + std::to_string(i % 5);
   }
+  ASSERT_TRUE(stalled.send_line(blob));
   // Do NOT read `stalled` yet: its responses pile up server-side.
 
   ClientConn live = connect_greet(fc.unix_path);
@@ -298,24 +341,24 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
 }
 
 // Per-connection shedding is fair: a client at its in-flight cap sheds
-// deterministically (huge max-wait defers all serving to the explicit
-// flush, so in-flight counts are exact), and an idle client's request
-// is untouched by its neighbor's overload.
+// deterministically (wedged workers defer all serving until released,
+// so in-flight counts are exact), and an idle client's request is
+// untouched by its neighbor's overload.
 TEST_F(FrontendTest, PerConnectionSheddingIsFairAndDeterministic) {
-  EnginePool pool(cell_, pruner_,
-                  pool_config(/*shards=*/2, /*max_wait_us=*/3'600'000'000LL));
+  EnginePool pool(cell_, pruner_, pool_config(/*shards=*/2));
   FrontendConfig fc;
   fc.unix_path = unique_sock();
   fc.max_queue = 2;
   Frontend frontend(pool, fc, {});
   std::string error;
   ASSERT_TRUE(frontend.start(&error)) << error;
+  WedgedWorkers wedged(frontend);
 
   ClientConn a = connect_greet(fc.unix_path);
   ClientConn b = connect_greet(fc.unix_path);
 
   // A pipelines 5 steps in one write: 2 accepted (cap), 3 shed — and
-  // the 3 err lines arrive before any ok (nothing serves pre-flush).
+  // the 3 err lines arrive before any ok (nothing serves pre-release).
   std::string blob;
   for (int i = 0; i < 5; ++i) {
     blob += "step 5 " + std::to_string(i % 5) + "\n";
@@ -331,6 +374,9 @@ TEST_F(FrontendTest, PerConnectionSheddingIsFairAndDeterministic) {
   // B is under its own cap: accepted, no shed.
   ASSERT_TRUE(b.send_line("step 6 0"));
   ASSERT_TRUE(b.send_line("flush"));
+  // B's step must be admitted before the workers run again.
+  ASSERT_TRUE(wait_until([&] { return frontend.server().submitted() == 3; }));
+  wedged.release();
 
   std::string line;
   ASSERT_TRUE(b.read_line(&line, 5000));
@@ -353,24 +399,26 @@ TEST_F(FrontendTest, PerConnectionSheddingIsFairAndDeterministic) {
 // is owed its in-flight responses: the front end must hold the
 // connection open until they are delivered, then close it.
 TEST_F(FrontendTest, HalfOpenConnectionDrainsOwedResponses) {
-  EnginePool pool(cell_, pruner_,
-                  pool_config(/*shards=*/2, /*max_wait_us=*/3'600'000'000LL));
+  EnginePool pool(cell_, pruner_, pool_config(/*shards=*/2));
   FrontendConfig fc;
   fc.unix_path = unique_sock();
   Frontend frontend(pool, fc, {});
   std::string error;
   ASSERT_TRUE(frontend.start(&error)) << error;
+  WedgedWorkers wedged(frontend);
 
   ClientConn half = connect_greet(fc.unix_path);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(half.send_line("step 21 " + std::to_string(i)));
   }
   half.shutdown_write();  // EOF at the server; 3 responses still owed
+  ASSERT_TRUE(wait_until([&] { return frontend.server().submitted() == 3; }));
 
-  // A second client triggers serving; the half-open one must still get
-  // its responses.
+  // Serving resumes only now, after the EOF; the half-open client must
+  // still get its responses.
   ClientConn other = connect_greet(fc.unix_path);
   ASSERT_TRUE(other.send_line("flush"));
+  wedged.release();
 
   for (int i = 0; i < 3; ++i) {
     std::string line;

@@ -65,7 +65,6 @@ PoolConfig base_config(num::Index shards) {
   PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = 4;
-  config.policy.max_wait_us = 50;
   return config;
 }
 

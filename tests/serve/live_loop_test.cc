@@ -45,6 +45,28 @@ bool wait_until(const std::function<bool()>& done,
   return true;
 }
 
+/// Parks every worker of `server` at its pre-serve checkpoint (the
+/// supervisor tests' wedge hook) until release(). Declared after the
+/// server, it also releases on destruction: a failed assertion never
+/// leaves the server's shutdown joining a parked worker.
+class WedgedWorkers {
+ public:
+  explicit WedgedWorkers(LiveServer& server) : server_(server) {
+    for (num::Index s = 0; s < server_.num_workers(); ++s) {
+      server_.worker(s).wedge_for_testing();
+    }
+  }
+  ~WedgedWorkers() { release(); }
+  void release() {
+    for (num::Index s = 0; s < server_.num_workers(); ++s) {
+      server_.worker(s).release_wedge();
+    }
+  }
+
+ private:
+  LiveServer& server_;
+};
+
 class LiveLoopTest : public ::testing::Test {
  protected:
   LiveLoopTest()
@@ -81,7 +103,6 @@ TEST_F(LiveLoopTest, MultiProducerSubmissionMatchesOracleBitwise) {
   PoolConfig config;
   config.shards = 4;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 100;
   EnginePool pool(cell_, pruner_, config);
 
   std::mutex mu;
@@ -138,10 +159,6 @@ TEST_F(LiveLoopTest, GracefulShutdownDrainsInflightRequests) {
   PoolConfig config;
   config.shards = 2;
   config.policy.max_batch = 8;
-  // An hour of max-wait: nothing would ever be served on a deadline,
-  // so every undelivered response below must come from the shutdown
-  // drain itself.
-  config.policy.max_wait_us = 3'600'000'000LL;
   EnginePool pool(cell_, pruner_, config);
 
   std::atomic<int> responses{0};
@@ -149,6 +166,9 @@ TEST_F(LiveLoopTest, GracefulShutdownDrainsInflightRequests) {
     responses.fetch_add(1, std::memory_order_relaxed);
   };
   LiveServer server(pool, sink);
+  // Wedged workers serve nothing, so every request below is still
+  // in flight when shutdown begins and must come out of its drain.
+  WedgedWorkers wedged(server);
   constexpr int kRequests = 300;
   for (int i = 0; i < kRequests; ++i) {
     // Many requests per session: same-session conflicts force small
@@ -158,7 +178,15 @@ TEST_F(LiveLoopTest, GracefulShutdownDrainsInflightRequests) {
                             static_cast<num::Index>(i) % cell_.input_dim())
                     .has_value());
   }
+  EXPECT_EQ(responses.load(), 0) << "a wedged worker served";
+  // Released only after shutdown() has begun (it blocks joining the
+  // wedged workers), so the stop request races the first batch.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    wedged.release();
+  });
   server.shutdown();
+  releaser.join();
   EXPECT_EQ(responses.load(), kRequests)
       << "shutdown must drain every accepted request";
   EXPECT_EQ(server.responded(), static_cast<std::uint64_t>(kRequests));
@@ -171,7 +199,6 @@ TEST_F(LiveLoopTest, RecordedLiveRunReplaysBitIdentically) {
   PoolConfig config;
   config.shards = 4;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 50;
   EnginePool pool(cell_, pruner_, config);
 
   std::mutex mu;
@@ -220,11 +247,10 @@ TEST_F(LiveLoopTest, RecordedLiveRunReplaysBitIdentically) {
   EXPECT_EQ(live_log, replay_log);
 }
 
-TEST_F(LiveLoopTest, FlushAllServesWithoutWaitingForDeadlines) {
+TEST_F(LiveLoopTest, FlushAllServesQueuedWork) {
   PoolConfig config;
   config.shards = 2;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 3'600'000'000LL;  // deadlines never fire
   EnginePool pool(cell_, pruner_, config);
 
   std::atomic<int> responses{0};
@@ -232,24 +258,45 @@ TEST_F(LiveLoopTest, FlushAllServesWithoutWaitingForDeadlines) {
     responses.fetch_add(1, std::memory_order_relaxed);
   };
   LiveServer server(pool, sink);
+  WedgedWorkers wedged(server);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
         server.submit(static_cast<SessionId>(i + 1), 0).has_value());
   }
   server.flush_all();
+  EXPECT_EQ(responses.load(), 0) << "a wedged worker served";
+  wedged.release();
   EXPECT_TRUE(wait_until([&] { return responses.load() >= 3; }))
-      << "flush_all must serve queued work without a deadline";
+      << "flush_all must serve queued work";
+  server.shutdown();
+}
+
+TEST_F(LiveLoopTest, LoneRequestIsAnsweredWithoutFlushOrMaxWait) {
+  // The worker is work-conserving: it serves whatever is pending as
+  // soon as it is free. An hour of max-wait must not hold a lone
+  // request, and no flush_all() is needed to release it.
+  PoolConfig config;
+  config.shards = 2;
+  config.policy.max_batch = 8;
+  config.policy.max_wait_us = 3'600'000'000LL;
+  EnginePool pool(cell_, pruner_, config);
+
+  std::atomic<int> responses{0};
+  const ResponseSink sink = [&](const Response&) {
+    responses.fetch_add(1, std::memory_order_relaxed);
+  };
+  LiveServer server(pool, sink);
+  ASSERT_TRUE(server.submit(/*session=*/1, /*token=*/0).has_value());
+  EXPECT_TRUE(wait_until([&] { return responses.load() == 1; },
+                         std::chrono::seconds(1)))
+      << "a lone request waited for batch-mates";
   server.shutdown();
 }
 
 TEST_F(LiveLoopTest, BackpressureShedsInsteadOfQueueingUnboundedly) {
   PoolConfig config;
   config.shards = 1;
-  // No batch is ever due: the conflict-free prefix cannot reach 64 and
-  // the deadline never fires, so the worker parks and the queue can
-  // only grow — which makes the shed count below deterministic.
   config.policy.max_batch = 64;
-  config.policy.max_wait_us = 3'600'000'000LL;
   EnginePool pool(cell_, pruner_, config);
 
   std::atomic<int> responses{0};
@@ -259,6 +306,9 @@ TEST_F(LiveLoopTest, BackpressureShedsInsteadOfQueueingUnboundedly) {
   LiveConfig live;
   live.max_queue = 8;
   LiveServer server(pool, sink, live);
+  // A wedged worker answers nothing, so in-flight only grows and the
+  // shed count below is deterministic.
+  WedgedWorkers wedged(server);
 
   std::uint64_t accepted = 0, shed = 0;
   for (int i = 0; i < 40; ++i) {
@@ -272,6 +322,8 @@ TEST_F(LiveLoopTest, BackpressureShedsInsteadOfQueueingUnboundedly) {
   EXPECT_EQ(shed, 32u);
   EXPECT_EQ(server.submitted(), accepted);
   EXPECT_EQ(server.shed(), shed);
+  EXPECT_EQ(responses.load(), 0) << "a wedged worker served";
+  wedged.release();
   server.shutdown();
   EXPECT_EQ(server.responded(), accepted)
       << "every accepted request is still served exactly once";
@@ -381,7 +433,6 @@ TEST_F(LiveLoopTest, ShardServesFullBatchWhileEvictingAtCap) {
   // lane of the in-flight batch is ever the victim.
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   SessionTtl ttl;
   ttl.max_sessions = 5;
   EngineShard shard(cell_, pruner_, policy, {}, ttl);
@@ -436,7 +487,6 @@ TEST_F(LiveLoopTest, LruEvictionIsIndependentOfBatchGrouping) {
   // evictor. Outputs, generations and eviction counts must all match.
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   SessionTtl ttl;
   ttl.max_sessions = 5;
 
@@ -503,7 +553,6 @@ TEST_F(LiveLoopTest, ShardTtlResetMatchesFreshSessionBitwise) {
   // bitwise identical to a brand-new session fed the same tokens.
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   SessionTtl ttl;
   ttl.ttl_us = 1000;
 

@@ -44,7 +44,6 @@ TEST(ServingAllocTest, ShardHotLoopIsAllocationFreeOnceWarm) {
   core::StatePruner pruner(core::PrunerConfig::fixed(0.08f));
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 100;
   EngineShard shard(cell, pruner, policy);
 
   num::Index responses = 0;
@@ -57,8 +56,7 @@ TEST(ServingAllocTest, ShardHotLoopIsAllocationFreeOnceWarm) {
   std::int64_t now = 0;
   auto run_round = [&](num::Index round) {
     // Four distinct sessions per round, rotating through all six so
-    // every session exists and both the batched path (B=4) and the
-    // max-wait path run.
+    // every session exists and the batched path (B=4) runs.
     for (num::Index k = 0; k < 4; ++k) {
       Request r;
       r.session = static_cast<SessionId>((round + k) % kSessions) + 1;
@@ -70,8 +68,8 @@ TEST(ServingAllocTest, ShardHotLoopIsAllocationFreeOnceWarm) {
     while (shard.process_ready(now, sink) > 0) {
     }
     now += 150;
-    // Leave stragglers to the timeout sometimes: serve a lone request
-    // through the batch-of-one fast path.
+    // Sometimes serve a lone request through the batch-of-one fast
+    // path.
     if (round % 3 == 0) {
       Request r;
       r.session = static_cast<SessionId>(round % kSessions) + 1;
@@ -79,7 +77,7 @@ TEST(ServingAllocTest, ShardHotLoopIsAllocationFreeOnceWarm) {
       r.arrival_us = now;
       r.seq = seq++;
       shard.enqueue(r);
-      now += policy.max_wait_us;
+      now += 100;
       while (shard.process_ready(now, sink) > 0) {
       }
     }

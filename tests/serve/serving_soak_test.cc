@@ -34,7 +34,6 @@ TEST(ServingSoakTest, LiveStressWithTtlEvictionAndControlTraffic) {
   PoolConfig config;
   config.shards = 4;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 100;
   config.session_ttl.ttl_us = 2000;     // evictions happen mid-stress
   config.session_ttl.max_sessions = 16; // per shard, > max_batch
   EnginePool pool(cell, pruner, config);
@@ -97,7 +96,6 @@ TEST(ServingSoakTest, LongRecordedRunReplaysBitIdentically) {
   PoolConfig config;
   config.shards = 4;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 50;
   config.session_ttl.ttl_us = 1500;
   EnginePool pool(cell, pruner, config);
 

@@ -31,6 +31,11 @@ class ShardDeterminismTest : public ::testing::Test {
         pruner_(core::PrunerConfig::fixed(0.08f)) {
     trace_ = synthetic_trace(/*requests=*/150, /*sessions=*/6, /*vocab=*/5,
                              /*mean_gap_us=*/50, rng_);
+    // Replay serves each arrival instant at once (serve/trace.h), so
+    // batches form only from arrivals that share a stamp. Snap stamps
+    // to 200 us bursts — the requests a busy worker would find waiting
+    // — so the sweeps below really mix batch sizes and conflicts.
+    for (TraceEvent& e : trace_) e.arrival_us -= e.arrival_us % 200;
     // Force back-to-back same-session arrivals so the conflict path
     // (a session queued twice before its first token is served) runs.
     for (int k = 0; k < 3; ++k) {
@@ -68,7 +73,6 @@ class ShardDeterminismTest : public ::testing::Test {
     PoolConfig config;
     config.shards = shards;
     config.policy.max_batch = max_batch;
-    config.policy.max_wait_us = 200;
     EnginePool pool(cell_, pruner_, config);
     OutputLog log;
     std::map<SessionId, std::uint64_t> last_seq;
@@ -113,7 +117,6 @@ TEST_F(ShardDeterminismTest, BatchingActuallyHappened) {
   PoolConfig config;
   config.shards = 1;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 200;
   EnginePool pool(cell_, pruner_, config);
   const ResponseSink sink = [](const Response&) {};
   replay(pool, trace_, sink);
@@ -129,7 +132,6 @@ TEST_F(ShardDeterminismTest, MaxBatchSweepBitwiseIdentical) {
     PoolConfig config;
     config.shards = 2;
     config.policy.max_batch = max_batch;
-    config.policy.max_wait_us = 200;
     EnginePool pool(cell_, pruner_, config);
     OutputLog log;
     const ResponseSink sink = [&](const Response& r) {
@@ -140,28 +142,39 @@ TEST_F(ShardDeterminismTest, MaxBatchSweepBitwiseIdentical) {
   }
 }
 
-TEST_F(ShardDeterminismTest, MaxWaitDeadlineFiresBetweenArrivals) {
-  // A request whose max-wait expires in a gap between arrivals must be
-  // served at its deadline — not held until (and batched with) the
-  // next arrival, which a live server honoring the policy would never
-  // do.
+TEST_F(ShardDeterminismTest, ReplayServesEachArrivalInstantAtOnce) {
+  // Nothing waits for batch-mates: the arrivals of one instant form a
+  // batch served at that instant, and a lone later arrival is served
+  // alone at its own instant — even with an hour of max-wait, which
+  // nothing reads anymore.
   std::vector<TraceEvent> gap_trace;
   gap_trace.push_back(TraceEvent{0, 1, 0});
-  gap_trace.push_back(TraceEvent{10000, 2, 1});
+  gap_trace.push_back(TraceEvent{0, 2, 1});
+  gap_trace.push_back(TraceEvent{10000, 3, 1});
   PoolConfig config;
   config.shards = 1;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 200;
+  config.policy.max_wait_us = 3'600'000'000LL;
   EnginePool pool(cell_, pruner_, config);
-  std::vector<std::pair<std::uint64_t, std::int64_t>> done;  // (seq, done_us)
-  const ResponseSink sink = [&](const Response& r) {
-    done.emplace_back(r.seq, r.done_us);
-    EXPECT_EQ(r.batch, 1) << "the straggler must not join the later arrival";
+  struct Done {
+    std::uint64_t seq;
+    std::int64_t done_us;
+    num::Index batch;
   };
-  replay(pool, gap_trace, sink);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0].second, 200) << "served at its own deadline";
-  EXPECT_EQ(done[1].second, 10200);
+  std::vector<Done> done;
+  const ResponseSink sink = [&](const Response& r) {
+    done.push_back(Done{r.seq, r.done_us, r.batch});
+  };
+  const ReplayResult result = replay(pool, gap_trace, sink);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].done_us, 0);
+  EXPECT_EQ(done[0].batch, 2) << "same-instant arrivals share a batch";
+  EXPECT_EQ(done[1].done_us, 0);
+  EXPECT_EQ(done[2].seq, 2u);
+  EXPECT_EQ(done[2].done_us, 10000) << "served at its own arrival";
+  EXPECT_EQ(done[2].batch, 1);
+  EXPECT_EQ(result.end_us, 10000);
+  EXPECT_EQ(pool.pending(), 0);
 }
 
 TEST_F(ShardDeterminismTest, ParallelDrainMatchesSequentialFlush) {
@@ -243,7 +256,6 @@ class QuantShardDeterminismTest : public ShardDeterminismTest {
     PoolConfig config;
     config.shards = shards;
     config.policy.max_batch = max_batch;
-    config.policy.max_wait_us = 200;
     config.quant = core::QuantConfig::int8();
     EnginePool pool(cell_, pruner_, config);
     for (num::Index s = 0; s < shards; ++s) {

@@ -58,7 +58,6 @@ RunStats run(const nn::LstmCell& cell, const core::StatePruner& pruner,
   PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.policy.max_wait_us = 120;
   config.session_ttl = ttl;
   if (env != nullptr) {
     config.spill.dir = dir;
@@ -111,9 +110,10 @@ TEST(SpillTieringTest, CappedWithSpillMatchesUncappedOracle) {
       store::MemEnv env;
       SessionTtl capped;
       capped.max_sessions = 6;  // 40 sessions over <= 6-per-shard: churn
-      const RunStats tiered =
-          run(cell, pruner, events, shards, /*max_batch=*/4, capped, &env,
-              "t" + std::to_string(variant++), encoded);
+      std::string tag = "t";
+      tag += std::to_string(variant++);
+      const RunStats tiered = run(cell, pruner, events, shards,
+                                  /*max_batch=*/4, capped, &env, tag, encoded);
       expect_tables_equal(oracle.digests, tiered.digests);
       EXPECT_GT(tiered.spilled, 0u) << "cap never engaged: test is vacuous";
       EXPECT_GT(tiered.restored, 0u);

@@ -57,7 +57,6 @@ class SupervisorTest : public ::testing::Test {
     PoolConfig config;
     config.shards = shards;
     config.policy.max_batch = 8;
-    config.policy.max_wait_us = 100;
     config.spill.dir = dir;
     config.spill.env = &env;
     config.spill.journal = true;
@@ -73,7 +72,6 @@ TEST_F(SupervisorTest, DeadlineAnswersTimeoutWithoutTouchingState) {
   PoolConfig config;
   config.shards = 1;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 100;
   EnginePool pool(cell_, pruner_, config);
 
   std::atomic<int> timed_out{0}, served{0};
@@ -119,7 +117,6 @@ TEST_F(SupervisorTest, IdleAndHealthyWorkersAreNeverRestarted) {
   PoolConfig config;
   config.shards = 2;
   config.policy.max_batch = 4;
-  config.policy.max_wait_us = 100;
   EnginePool pool(cell_, pruner_, config);
   std::atomic<int> served{0};
   LiveServer server(pool, [&](const Response&) { served.fetch_add(1); });
@@ -290,7 +287,6 @@ TEST_F(SupervisorTest, WedgedWorkerIsRestartedAndSurvivorsLoseNothing) {
   PoolConfig oracle_config;
   oracle_config.shards = 1;
   oracle_config.policy.max_batch = 8;
-  oracle_config.policy.max_wait_us = 0;
   EnginePool oracle(cell_, pruner_, oracle_config);
   std::uint64_t oracle_served = 0;
   const ResponseSink oracle_sink = [&](const Response&) { ++oracle_served; };
@@ -439,7 +435,6 @@ TEST_F(SupervisorTest, WorkerWedgedInsideSinkIsFencedNotDoubleCounted) {
   PoolConfig oracle_config;
   oracle_config.shards = 1;
   oracle_config.policy.max_batch = 8;
-  oracle_config.policy.max_wait_us = 0;
   EnginePool oracle(cell_, pruner_, oracle_config);
   const ResponseSink oracle_sink = [](const Response&) {};
   for (std::uint64_t i = 0; i < kTotal; ++i) {
@@ -470,7 +465,6 @@ TEST_F(SupervisorTest, SlowSinkDeepBacklogIsBusyNotWedged) {
   PoolConfig config;
   config.shards = 1;
   config.policy.max_batch = 8;
-  config.policy.max_wait_us = 100;
   EnginePool pool(cell_, pruner_, config);
 
   std::atomic<int> served{0};

@@ -53,7 +53,6 @@ DigestTable run(const nn::LstmCell& cell, const core::StatePruner& pruner,
   PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.policy.max_wait_us = 120;
   config.session_ttl = ttl;
   EnginePool pool(cell, pruner, config);
   if (!parallel) {

@@ -90,7 +90,6 @@ struct Args {
   bool live = false;
   num::Index shards = 1;
   num::Index max_batch = 8;
-  std::int64_t max_wait_us = 200;
   std::int64_t ttl_us = -1;
   num::Index max_sessions = 0;
   num::Index max_queue = 0;
@@ -149,8 +148,12 @@ bool parse(int argc, char** argv, Args& args) {
       args.shards = std::atol(v);
     } else if (const char* v = value("max-batch")) {
       args.max_batch = std::atol(v);
-    } else if (const char* v = value("max-wait-us")) {
-      args.max_wait_us = std::atol(v);
+    } else if (value("max-wait-us") != nullptr) {
+      // Batches never wait (serve/batcher.h); the flag still parses so
+      // existing command lines keep working.
+      std::fprintf(stderr, "zss_serve: --max-wait-us is ignored (a shard "
+                           "serves whatever is pending as soon as it is "
+                           "free)\n");
     } else if (const char* v = value("ttl-us")) {
       args.ttl_us = std::atoll(v);
     } else if (const char* v = value("max-sessions")) {
@@ -191,13 +194,12 @@ bool parse(int argc, char** argv, Args& args) {
   }
   // Report bad values as usage errors here; the library layers treat
   // them as contract violations and abort.
-  if (args.shards < 1 || args.max_batch < 1 || args.max_wait_us < 0 ||
-      args.dh < 1 ||
+  if (args.shards < 1 || args.max_batch < 1 || args.dh < 1 ||
       args.dx < 1 || args.sessions < 1 || args.gap_us < 0 ||
       args.threshold < 0.0f || args.max_sessions < 0 || args.max_queue < 0) {
     std::fprintf(stderr,
                  "invalid flag value (need shards/max-batch/dh/dx/sessions "
-                 ">= 1, max-wait-us/gap-us/max-sessions/max-queue >= 0, "
+                 ">= 1, gap-us/max-sessions/max-queue >= 0, "
                  "threshold >= 0)\n");
     return false;
   }
@@ -298,17 +300,6 @@ bool parse(int argc, char** argv, Args& args) {
                          "requests)\n");
     return false;
   }
-  // A worker sleeping toward its max-wait deadline legitimately
-  // freezes its heartbeat with work queued (serve/supervisor.h); a
-  // stall bound inside that window would shoot healthy workers.
-  if (args.worker_stall_ms > 0 &&
-      args.worker_stall_ms * 1000 <= args.max_wait_us) {
-    std::fprintf(stderr, "--worker-stall-ms must exceed --max-wait-us "
-                         "(%lld us) — below it every max-wait sleep looks "
-                         "like a hang\n",
-                 static_cast<long long>(args.max_wait_us));
-    return false;
-  }
   return true;
 }
 
@@ -316,7 +307,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: zss_serve --trace=FILE [--shards=N] [--max-batch=B]\n"
-      "                 [--max-wait-us=U] [--dh=D] [--dx=D]\n"
+      "                 [--dh=D] [--dx=D]\n"
       "                 [--threshold=T] [--seed=S] [--ttl-us=T]\n"
       "                 [--max-sessions=N] [--dump] [--digests=FILE]\n"
       "                 [--spill-dir=DIR] [--spill-encoded] [--quant]\n"
@@ -341,6 +332,10 @@ void usage() {
       "                 multiplexed front end serving any number of\n"
       "                 concurrent clients — docs/serving.md; --tcp=0 picks\n"
       "                 an ephemeral port, printed on stderr)\n"
+      "                 (each shard worker serves whatever is pending, up\n"
+      "                 to --max-batch, as soon as it is free; nothing\n"
+      "                 waits for batch-mates, so --max-wait-us is\n"
+      "                 accepted and ignored)\n"
       "   or: zss_serve --emit-trace=N [--sessions=S] [--vocab via --dx]\n"
       "                 [--gap-us=G] [--seed=S]   (writes trace to stdout)\n");
 }
@@ -461,7 +456,6 @@ serve::PoolConfig pool_config(const Args& args, const ServingAssets& assets) {
   serve::PoolConfig config;
   config.shards = args.shards;
   config.policy.max_batch = args.max_batch;
-  config.policy.max_wait_us = args.max_wait_us;
   config.session_ttl.ttl_us = args.ttl_us;
   config.session_ttl.max_sessions = args.max_sessions;
   config.spill.dir = args.spill_dir;
@@ -779,11 +773,10 @@ int run_frontend(const Args& args, serve::EnginePool& pool) {
 
   std::fprintf(stderr,
                "zss_serve: frontend live, kernel_backend=%s shards=%lld "
-               "max_batch=%lld max_wait_us=%lld max_queue=%lld\n",
+               "max_batch=%lld max_queue=%lld\n",
                num::simd::active_backend().name,
                static_cast<long long>(args.shards),
                static_cast<long long>(args.max_batch),
-               static_cast<long long>(args.max_wait_us),
                static_cast<long long>(args.max_queue));
   if (!args.socket_path.empty()) {
     std::fprintf(stderr, "zss_serve: listening on %s\n",
@@ -854,11 +847,10 @@ int run_live(const Args& args) {
 
   std::fprintf(stderr,
                "zss_serve: live, kernel_backend=%s shards=%lld max_batch=%lld "
-               "max_wait_us=%lld ttl_us=%lld max_sessions=%lld\n",
+               "ttl_us=%lld max_sessions=%lld\n",
                num::simd::active_backend().name,
                static_cast<long long>(args.shards),
                static_cast<long long>(args.max_batch),
-               static_cast<long long>(args.max_wait_us),
                static_cast<long long>(args.ttl_us),
                static_cast<long long>(args.max_sessions));
 
