@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 
+#include "num/kernels.h"  // kMaxCellClip
 #include "num/rng.h"
 #include "store/crc32c.h"
 
@@ -24,7 +25,10 @@ constexpr std::uint32_t kMaxLayers = 8;
 constexpr std::uint32_t kMaxHidden = 16384;
 constexpr std::uint32_t kMaxVocab = 1u << 20;
 constexpr std::uint32_t kMaxEmbedDim = 4096;
-constexpr std::uint32_t kMaxCellClip = 1u << 20;
+// The int8 cell update's largest defined clip (num::kMaxCellClip:
+// f * cq must fit an i32), not a sanity bound like the others.
+constexpr std::uint32_t kMaxCellClip =
+    static_cast<std::uint32_t>(num::kMaxCellClip);
 constexpr std::uint32_t kMaxNameLen = 4096;
 constexpr std::uint64_t kMaxFileBytes = 1ull << 30;  // 1 GiB
 

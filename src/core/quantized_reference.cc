@@ -1,5 +1,6 @@
 #include "core/quantized_reference.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/packed_weights.h"  // kStateScale
@@ -33,6 +34,16 @@ std::int32_t clampi(std::int32_t v, std::int32_t lo, std::int32_t hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
+// A seeded float c onto the grid, clamped in double before converting
+// so NaN (-> 0) and |c| * 127 >= 2^31 stay defined.
+std::int32_t grid_c(float c, std::int32_t c_lim) {
+  double q = std::nearbyint(static_cast<double>(c) * 127.0);
+  if (q != q) q = 0.0;
+  q = std::min(std::max(q, -static_cast<double>(c_lim)),
+               static_cast<double>(c_lim));
+  return static_cast<std::int32_t>(q);
+}
+
 float max_abs(const num::Matrix& m) {
   float mx = 0.0f;
   for (float v : m.flat()) {
@@ -56,6 +67,7 @@ QuantizedLstmReference::QuantizedLstmReference(const nn::LstmCell& cell,
                 quant::QuantParams{cfg.pre_clip / 127.0f}),
       tanh_c_(quant::Nonlinearity::kTanh,
               quant::QuantParams{static_cast<float>(cfg.c_clip) / 127.0f}) {
+  ZSS_EXPECTS(cfg.c_clip >= 1 && cfg.c_clip <= num::kMaxCellClip);
   const num::Matrix& wx = cell.wx().value;
   const num::Matrix& wh = cell.wh().value;
   // Shared symmetric scale over BOTH weight matrices: max|w| maps to
@@ -128,10 +140,7 @@ void QuantizedLstmReference::step(const num::Matrix& x, num::Matrix& h,
       const std::int8_t i = sigmoid_.apply(requant(pre[1], acc_to_pre_));
       const std::int8_t o = sigmoid_.apply(requant(pre[2], acc_to_pre_));
       const std::int8_t g = tanh_pre_.apply(requant(pre[3], acc_to_pre_));
-      std::int32_t cq = clampi(
-          static_cast<std::int32_t>(
-              std::nearbyint(static_cast<double>(c(r, j)) * 127.0)),
-          -c_lim, c_lim);
+      std::int32_t cq = grid_c(c(r, j), c_lim);
       cq = clampi(rdiv(static_cast<std::int32_t>(f) * cq, 127) +
                       rdiv(static_cast<std::int32_t>(i) *
                                static_cast<std::int32_t>(g),

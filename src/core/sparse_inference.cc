@@ -1,7 +1,7 @@
 #include "core/sparse_inference.h"
 
 #include <algorithm>
-#include <cmath>
+#include <tuple>
 
 #include "num/kernels.h"
 
@@ -9,28 +9,16 @@ namespace zss::core {
 
 namespace {
 
-// i32 pre-activation -> int8 LUT input. Round-to-nearest in double (an
-// i32 accumulator exceeds float's 24-bit mantissa) then clamp to the
-// symmetric ±127 range — the LUT saturates at its input endpoints
-// anyway, so clipping only loses already-saturated tails.
-std::int8_t requant_pre(std::int32_t v, double acc_to_pre) {
-  const double q = std::nearbyint(static_cast<double>(v) * acc_to_pre);
-  if (q >= 127.0) return 127;
-  if (q <= -127.0) return -127;
-  return static_cast<std::int8_t>(q);
-}
-
-// Sign-symmetric round-half-away-from-zero integer divide by a positive
-// denominator — the quantized datapath's only division, used to bring
-// products of two 1/127-grid values back onto the grid. Symmetric so
-// negating every input negates every output exactly (the same property
-// the symmetric ±127 range buys the quantizer).
-std::int32_t rdiv(std::int32_t p, std::int32_t den) {
-  return p >= 0 ? (p + den / 2) / den : -((-p + den / 2) / den);
-}
-
-std::int32_t clamp_i32(std::int32_t v, std::int32_t lo, std::int32_t hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
+// A 256-entry int8 LUT widened to i32 and centred: out[128 + q] is the
+// activation code of input q (num::QuantCellParams indexes it as
+// lut[q] from the middle).
+std::array<std::int32_t, 256> widen_lut(const quant::NonlinearLut& lut) {
+  std::array<std::int32_t, 256> out{};
+  for (int code = -128; code <= 127; ++code) {
+    out[static_cast<std::size_t>(code + 128)] =
+        lut.apply(static_cast<std::int8_t>(code));
+  }
+  return out;
 }
 
 }  // namespace
@@ -38,12 +26,15 @@ std::int32_t clamp_i32(std::int32_t v, std::int32_t lo, std::int32_t hi) {
 SparseLstmEngine::QuantState::QuantState(const nn::LstmCell& cell,
                                          const QuantConfig& cfg)
     : weights(nn::PackedLstmWeightsI8::pack(cell)),
-      sigmoid(quant::Nonlinearity::kSigmoid,
-              quant::QuantParams{cfg.pre_clip / 127.0f}),
-      tanh_pre(quant::Nonlinearity::kTanh,
-               quant::QuantParams{cfg.pre_clip / 127.0f}),
-      tanh_c(quant::Nonlinearity::kTanh,
-             quant::QuantParams{static_cast<float>(cfg.c_clip) / 127.0f}),
+      sigmoid(widen_lut(quant::NonlinearLut(
+          quant::Nonlinearity::kSigmoid,
+          quant::QuantParams{cfg.pre_clip / 127.0f}))),
+      tanh_pre(widen_lut(
+          quant::NonlinearLut(quant::Nonlinearity::kTanh,
+                              quant::QuantParams{cfg.pre_clip / 127.0f}))),
+      tanh_c(widen_lut(quant::NonlinearLut(
+          quant::Nonlinearity::kTanh,
+          quant::QuantParams{static_cast<float>(cfg.c_clip) / 127.0f}))),
       acc_to_pre(static_cast<double>(weights.weight_scale.scale) /
                  static_cast<double>(cfg.pre_clip)) {}
 
@@ -60,7 +51,8 @@ SparseLstmEngine::SparseLstmEngine(const nn::LstmCell& cell,
       packed_(quant.enabled ? nn::PackedLstmWeights{}
                             : nn::PackedLstmWeights::pack(cell)) {
   if (quant_.enabled) {
-    ZSS_EXPECTS(quant_.pre_clip > 0.0f && quant_.c_clip >= 1);
+    ZSS_EXPECTS(quant_.pre_clip > 0.0f && quant_.c_clip >= 1 &&
+                quant_.c_clip <= num::kMaxCellClip);
     q_.emplace(cell, quant_);
   }
   positions_.reserve(static_cast<std::size_t>(cell.hidden_dim()));
@@ -78,12 +70,17 @@ void SparseLstmEngine::reserve(num::Index max_batch) {
   if (q_) {
     // Integer twins of the workspace slots; reshape grows capacity
     // without the fill pass, matching the fp32 reserve discipline.
+    // pre_h is left out: only step_dense's GEMM uses it, and it grows
+    // there on first use instead of holding B x 4dh i32 in every
+    // serving engine. The skip encodings serve the input (dx wide) and
+    // the state.
+    const num::Index width = std::max(cell_->input_dim(), dh);
     q_->xq.reshape(max_batch, cell_->input_dim());
     q_->hq.reshape(max_batch, dh);
     q_->pre.reshape(max_batch, 4 * dh);
-    q_->pre_h.reshape(max_batch, 4 * dh);
-    q_->enc.reserve(dh, max_batch);
-    q_->lanes.reserve(dh, max_batch);
+    q_->enc.reserve(width, max_batch);
+    q_->lanes.reserve(width, max_batch);
+    positions_.reserve(static_cast<std::size_t>(width));
   }
   reserved_batch_ = max_batch;
 }
@@ -238,9 +235,11 @@ void SparseLstmEngine::step_dense(const num::Matrix& x, num::Matrix& h,
 // which is associative and commutative — so the sparse paths (which
 // skip exactly the zero-valued products) and the dense path produce
 // bit-identical pre-activations regardless of summation order, on every
-// backend (docs/exactness.md "int8"). All scales are fixed at
-// construction, so results are also independent of batch composition —
-// the property the serving shard-determinism sweep checks.
+// backend (docs/exactness.md "int8"). The same order-freedom lets one
+// i32 accumulator take the bias, the input product and the recurrent
+// product in turn. All scales are fixed at construction, so results
+// are also independent of batch composition — the property the serving
+// shard-determinism sweep checks.
 void SparseLstmEngine::step_quant(const num::Matrix& x, num::Matrix& h,
                                   num::Matrix& c, bool dense,
                                   num::Matrix* dense_h) {
@@ -255,68 +254,43 @@ void SparseLstmEngine::step_quant(const num::Matrix& x, num::Matrix& h,
   QuantState& q = *q_;
   const quant::QuantParams grid{nn::PackedLstmWeightsI8::kStateScale};
 
-  // Input path: x onto the 1/127 grid (one-hot serving inputs are exact
-  // on it), then the int8 GEMM and the pre-scaled bias — everything
-  // lands on the shared accumulator scale weight_scale/127.
-  q.xq.reshape(B, dx);
-  quant::quantize(x.flat(), grid, q.xq.flat());
-  num::gemm_a_bt_i8(q.xq, q.weights.wx, q.pre);
+  // pre starts as the pre-scaled bias row: bias, input and recurrent
+  // products all sit on the shared accumulator scale weight_scale/127.
+  q.pre.reshape(B, 4 * dh);
   const auto bq = q.weights.bias_q.span();
   for (num::Index r = 0; r < B; ++r) {
-    auto row = q.pre.row(r);
-    for (std::size_t j = 0; j < bq.size(); ++j) {
-      row[j] = num::add_i32(row[j], bq[j]);
-    }
+    std::copy(bq.begin(), bq.end(), q.pre.row(r).begin());
   }
+
+  // Input path: x onto the 1/127 grid (one-hot serving inputs are exact
+  // on it), encoded like the state and accumulated by the same skip
+  // kernels over the k-major wxt — in step and step_dense alike, as the
+  // fp32 path shares compute_input_path. A one-hot input costs one row.
+  q.xq.reshape(B, dx);
+  quant::quantize(x.flat(), grid, q.xq.flat());
+  accumulate_skip_i8(q.xq, q.weights.wxt, q.pre);
   stats_.input_macs += B * dx * 4 * dh;
 
   // Recurrent path over the quantized state. Both flavours multiply the
   // same q.hq — a zero element contributes an exactly-zero product to
-  // the dense accumulator and is skipped by the sparse ones, so the
-  // flavours agree bitwise.
+  // the dense GEMM and is skipped by the sparse kernels, so the flavours
+  // agree bitwise.
   q.hq.reshape(B, dh);
   quant::quantize(h.flat(), grid, q.hq.flat());
-  q.pre_h.reshape(B, 4 * dh);
   num::Index kept_union = 0;       // positions kept by >= 1 lane
   num::Index kept_lane_total = 0;  // effectual work of this step
   if (dense) {
     num::gemm_a_bt_i8(q.hq, q.weights.wh, q.pre_h);
-    kept_union = dh;
-    kept_lane_total = B * dh;
-  } else if (B == 1) {
-    // The paper's offset encoding over int8 values; the int8 sparse
-    // kernels accumulate, so the staging matrix is zero-filled first
-    // (i32 zero fill + accumulate has no fp32 signed-zero subtleties).
-    q.pre_h.fill(0);
-    sparse::encode_into(q.hq, encoder_, q.enc);
-    positions_.clear();
-    num::Index pos = 0;
-    for (const auto& entry : q.enc.entries) {
-      pos += entry.offset;
-      positions_.push_back(pos);
-      ++pos;
-    }
-    num::sparse_accum_rows_i8(q.weights.wht, positions_, q.enc.values,
-                              q.pre_h);
-    kept_union = q.enc.kept_positions();
-    kept_lane_total = q.enc.kept_positions();
-  } else {
-    q.pre_h.fill(0);
-    sparse::encode_lanes_into(q.hq, q.lanes);
-    num::sparse_accum_rows_multi_i8(q.weights.wht, q.lanes.positions,
-                                    q.lanes.row_start, q.lanes.values,
-                                    q.pre_h);
-    kept_union = q.lanes.union_kept();
-    kept_lane_total = q.lanes.total_kept();
-  }
-  // Combine the two partials with the wrapping add — same scale, no
-  // rescaling, order-free by modular associativity.
-  {
     auto p = q.pre.flat();
-    auto ph = q.pre_h.flat();
+    const auto ph = q.pre_h.flat();
     for (std::size_t i = 0; i < p.size(); ++i) {
       p[i] = num::add_i32(p[i], ph[i]);
     }
+    kept_union = dh;
+    kept_lane_total = B * dh;
+  } else {
+    std::tie(kept_union, kept_lane_total) =
+        accumulate_skip_i8(q.hq, q.weights.wht, q.pre);
   }
 
   stats_.state_macs_total += B * dh * 4 * dh;
@@ -334,59 +308,49 @@ void SparseLstmEngine::step_quant(const num::Matrix& x, num::Matrix& h,
   finish_step_quant(B, h, c, dense_h);
 }
 
-// Integer gate/cell update: one requantize into the LUT domain, LUT
-// activations, then a cell update whose only divisions are the
-// sign-symmetric rdiv by 127 (grid renormalization after a grid x grid
-// product) and by c_clip (folding the cell range into the tanh LUT's
-// input span). h and c are written back as float multiples of
-// kStateScale — the reference twin must use the identical expression
-// (float(q) * kStateScale, not q / 127.0f) for bit-equality.
+std::pair<num::Index, num::Index> SparseLstmEngine::accumulate_skip_i8(
+    const num::MatrixI8& v, const num::MatrixI8& packed,
+    num::MatrixI32& pre) {
+  QuantState& q = *q_;
+  if (v.rows() == 1) {
+    // The paper's offset encoding over int8 values.
+    sparse::encode_into(v, encoder_, q.enc);
+    positions_.clear();
+    num::Index pos = 0;
+    for (const auto& entry : q.enc.entries) {
+      pos += entry.offset;
+      positions_.push_back(pos);
+      ++pos;
+    }
+    num::sparse_accum_rows_i8(packed, positions_, q.enc.values, pre);
+    return {q.enc.kept_positions(), q.enc.kept_positions()};
+  }
+  // Batched: per-lane CSR lists, each lane accumulating its own rows.
+  sparse::encode_lanes_into(v, q.lanes);
+  num::sparse_accum_rows_multi_i8(packed, q.lanes.positions,
+                                  q.lanes.row_start, q.lanes.values, pre);
+  return {q.lanes.union_kept(), q.lanes.total_kept()};
+}
+
+// Integer gate/cell update through the backend's lstm_cell_update_i8
+// slot (num/kernels.h states the arithmetic; the scalar table's loop is
+// the twin every backend matches bit for bit). h and c are written back
+// as float multiples of kStateScale — the reference twin uses the
+// identical expression (float(q) * kStateScale, not q / 127.0f).
 void SparseLstmEngine::finish_step_quant(num::Index batch, num::Matrix& h,
                                          num::Matrix& c,
                                          num::Matrix* dense_h) {
-  QuantState& q = *q_;
-  const num::Index dh = cell_->hidden_dim();
-  const std::int32_t c_clip = static_cast<std::int32_t>(quant_.c_clip);
-  const std::int32_t c_lim = 127 * c_clip;
-  for (num::Index r = 0; r < batch; ++r) {
-    auto row = q.pre.row(r);
-    for (num::Index j = 0; j < dh; ++j) {
-      const std::int8_t f =
-          q.sigmoid.apply(requant_pre(row[static_cast<std::size_t>(j)],
-                                      q.acc_to_pre));
-      const std::int8_t i = q.sigmoid.apply(
-          requant_pre(row[static_cast<std::size_t>(dh + j)], q.acc_to_pre));
-      const std::int8_t o = q.sigmoid.apply(
-          requant_pre(row[static_cast<std::size_t>(2 * dh + j)],
-                      q.acc_to_pre));
-      const std::int8_t g = q.tanh_pre.apply(
-          requant_pre(row[static_cast<std::size_t>(3 * dh + j)],
-                      q.acc_to_pre));
-      // Previous c lies exactly on the 1/127 grid within ±c_clip (this
-      // datapath wrote it); a caller-seeded float c is rounded onto it.
-      std::int32_t cq = clamp_i32(
-          static_cast<std::int32_t>(
-              std::nearbyint(static_cast<double>(c(r, j)) * 127.0)),
-          -c_lim, c_lim);
-      cq = clamp_i32(rdiv(static_cast<std::int32_t>(f) * cq, 127) +
-                         rdiv(static_cast<std::int32_t>(i) *
-                                  static_cast<std::int32_t>(g),
-                              127),
-                     -c_lim, c_lim);
-      // cq/c_clip maps [-c_lim, c_lim] onto the tanh LUT's ±127 input
-      // span (whose grid is c_clip/127).
-      const std::int8_t c8 = static_cast<std::int8_t>(rdiv(cq, c_clip));
-      const std::int8_t tc = q.tanh_c.apply(c8);
-      const std::int32_t hq = rdiv(
-          static_cast<std::int32_t>(o) * static_cast<std::int32_t>(tc), 127);
-      c(r, j) = static_cast<float>(cq) * nn::PackedLstmWeightsI8::kStateScale;
-      h(r, j) = static_cast<float>(hq) * nn::PackedLstmWeightsI8::kStateScale;
-    }
-  }
+  const QuantState& q = *q_;
+  num::QuantCellParams params;
+  params.sigmoid = q.sigmoid.data() + 128;
+  params.tanh_pre = q.tanh_pre.data() + 128;
+  params.tanh_c = q.tanh_c.data() + 128;
+  params.acc_to_pre = q.acc_to_pre;
+  params.c_clip = static_cast<std::int32_t>(quant_.c_clip);
+  num::lstm_cell_update_i8(q.pre, params, c, h);
   // Dense tap, then prune — same discipline as the fp32 finish_step.
   if (dense_h != nullptr) {
-    const num::Index dh2 = cell_->hidden_dim();
-    dense_h->reshape(batch, dh2);
+    dense_h->reshape(batch, cell_->hidden_dim());
     const auto src = h.flat();
     std::copy(src.begin(), src.end(), dense_h->flat().begin());
   }

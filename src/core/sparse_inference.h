@@ -39,8 +39,10 @@
 //    1/127 state grid.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/state_pruner.h"
@@ -234,31 +236,40 @@ class SparseLstmEngine {
                    num::Matrix& h, num::Matrix& c, num::Matrix* dense_h);
 
   /// Everything the int8 step mode owns: packed weights, the three
-  /// activation LUTs (fixed input grids, built once), and the integer
-  /// twins of the workspace/encoder buffers (the fp32 Workspace is
-  /// float-only by design, so the int buffers live here and are grown
-  /// by reserve()).
+  /// activation LUTs (fixed input grids, built once, widened to i32 for
+  /// the cell-update kernel), and the integer twins of the workspace/
+  /// encoder buffers (the fp32 Workspace is float-only by design, so the
+  /// int buffers live here and are grown by reserve()).
   struct QuantState {
     QuantState(const nn::LstmCell& cell, const QuantConfig& cfg);
 
+    using Lut = std::array<std::int32_t, 256>;  // lut[128 + q] for q in i8
+
     nn::PackedLstmWeightsI8 weights;
-    quant::NonlinearLut sigmoid;   // f/i/o gates, input grid pre_clip/127
-    quant::NonlinearLut tanh_pre;  // g gate, same input grid
-    quant::NonlinearLut tanh_c;    // cell output, input grid c_clip/127
+    Lut sigmoid;   // f/i/o gates, input grid pre_clip/127
+    Lut tanh_pre;  // g gate, same input grid
+    Lut tanh_c;    // cell output, input grid c_clip/127
     /// i32 pre-activation -> int8 LUT input: multiply by
     /// weight_scale/pre_clip. double — an i32 accumulator exceeds the
     /// float mantissa, and the requantize must be exact-deterministic.
     double acc_to_pre = 0.0;
-    num::MatrixI8 xq;    // quantized input, (B x dx)
-    num::MatrixI8 hq;    // quantized state, (B x dh)
+    num::MatrixI8 xq;      // quantized input, (B x dx)
+    num::MatrixI8 hq;      // quantized state, (B x dh)
     num::MatrixI32 pre;    // i32 pre-activations, (B x 4dh)
-    num::MatrixI32 pre_h;  // state-path partial, (B x 4dh)
-    sparse::EncodedState<std::int8_t> enc;        // B == 1 skip path
-    sparse::LaneEncodedState<std::int8_t> lanes;  // B > 1 skip path
+    num::MatrixI32 pre_h;  // step_dense's recurrent GEMM, (B x 4dh)
+    // Skip-path encodings, reused for the input and then the state.
+    sparse::EncodedState<std::int8_t> enc;        // B == 1
+    sparse::LaneEncodedState<std::int8_t> lanes;  // B > 1
   };
 
   void step_quant(const num::Matrix& x, num::Matrix& h, num::Matrix& c,
                   bool dense, num::Matrix* dense_h);
+  /// pre += v * packed over v's non-zero elements (v is B x k int8,
+  /// packed k x 4dh): encodes v like the state and runs the int8 skip
+  /// kernels. Returns {positions kept by >= 1 lane, kept over lanes}.
+  std::pair<num::Index, num::Index> accumulate_skip_i8(
+      const num::MatrixI8& v, const num::MatrixI8& packed,
+      num::MatrixI32& pre);
   void finish_step_quant(num::Index batch, num::Matrix& h, num::Matrix& c,
                          num::Matrix* dense_h);
 

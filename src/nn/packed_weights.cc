@@ -1,10 +1,34 @@
 #include "nn/packed_weights.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "num/kernels.h"
 
 namespace zss::nn {
+
+namespace {
+
+// out(j, r) = f(r, j) over a rows x cols source, in 16 x 16 tiles like
+// num::transpose, so reads and writes both touch whole cache lines —
+// a plain row walk over a 2048-row source writes one line per byte.
+template <typename F>
+void transpose_tiled(num::Index rows, num::Index cols, num::MatrixI8& out,
+                     F&& f) {
+  constexpr num::Index kTile = 16;
+  out.reshape(cols, rows);
+  for (num::Index r0 = 0; r0 < rows; r0 += kTile) {
+    const num::Index r1 = std::min(r0 + kTile, rows);
+    for (num::Index j0 = 0; j0 < cols; j0 += kTile) {
+      const num::Index j1 = std::min(j0 + kTile, cols);
+      for (num::Index r = r0; r < r1; ++r) {
+        for (num::Index j = j0; j < j1; ++j) out(j, r) = f(r, j);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 PackedLstmWeights PackedLstmWeights::pack(const LstmCell& cell) {
   PackedLstmWeights p;
@@ -32,16 +56,16 @@ PackedLstmWeightsI8 PackedLstmWeightsI8::pack(const LstmCell& cell) {
   const quant::QuantParams sx = quant::choose_scale(wx_f.flat());
   const quant::QuantParams sh = quant::choose_scale(wh_f.flat());
   p.weight_scale.scale = sx.scale > sh.scale ? sx.scale : sh.scale;
-  p.wx.reshape(wx_f.rows(), wx_f.cols());
-  quant::quantize(wx_f.flat(), p.weight_scale, p.wx.flat());
+  transpose_tiled(wx_f.rows(), wx_f.cols(), p.wxt,
+                  [&](num::Index r, num::Index j) {
+                    return quant::quantize_one(wx_f(r, j), p.weight_scale);
+                  });
   p.wh.reshape(wh_f.rows(), wh_f.cols());
   quant::quantize(wh_f.flat(), p.weight_scale, p.wh.flat());
   // Transpose the already-quantized Whq so dense and sparse paths
   // multiply identical int8 values.
-  p.wht.reshape(p.dh, 4 * p.dh);
-  for (num::Index r = 0; r < p.wh.rows(); ++r) {
-    for (num::Index j = 0; j < p.wh.cols(); ++j) p.wht(j, r) = p.wh(r, j);
-  }
+  transpose_tiled(p.wh.rows(), p.wh.cols(), p.wht,
+                  [&](num::Index r, num::Index j) { return p.wh(r, j); });
   const auto b = cell.bias().value.flat();
   p.bias_q.resize(static_cast<num::Index>(b.size()));
   for (std::size_t i = 0; i < b.size(); ++i) {

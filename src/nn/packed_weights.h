@@ -49,11 +49,13 @@ struct PackedLstmWeights {
 /// keeps the whole pre-activation integer until the single requantize
 /// into the LUT domain (core/sparse_inference.cc).
 ///
-/// Layouts mirror the fp32 pack: wx/wh gate-major for the dense GEMMs,
-/// wht transposed gate-interleaved (row j = Whq[:, j]) for the skip
-/// path. Quantize-then-transpose equals transpose-then-quantize
-/// elementwise, so both dense and sparse paths multiply identical int8
-/// weights — one ingredient of step() == step_dense() bitwise.
+/// Layouts: wxt and wht are transposed gate-interleaved (row j =
+/// Wxq[:, j] / Whq[:, j]) for the skip kernels, which both the sparse
+/// and the dense step run over the encoded input (a one-hot input costs
+/// one row); wh stays gate-major for the dense recurrent baseline's
+/// GEMM. Quantize-then-transpose equals transpose-then-quantize
+/// elementwise, so both paths multiply identical int8 weights — one
+/// ingredient of step() == step_dense() bitwise.
 struct PackedLstmWeightsI8 {
   /// The fixed state/input quantization grid: real = q / 127 with q in
   /// [-127, 127]. Serving inputs are one-hot (exact on the grid) and
@@ -63,8 +65,8 @@ struct PackedLstmWeightsI8 {
 
   num::Index dx = 0;
   num::Index dh = 0;
-  quant::QuantParams weight_scale;  // shared by wx, wh and wht
-  num::MatrixI8 wx;        // (4dh x dx) gate-major, input-path gemm_a_bt_i8
+  quant::QuantParams weight_scale;  // shared by wxt, wh and wht
+  num::MatrixI8 wxt;       // (dx x 4dh), row j = Wxq[:, j] — input path
   num::MatrixI8 wh;        // (4dh x dh) gate-major, dense-baseline path
   num::MatrixI8 wht;       // (dh x 4dh), row j = Whq[:, j] — skip path
   num::VectorI32 bias_q;   // (4dh) on the accumulator scale, scale/127

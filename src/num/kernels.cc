@@ -183,6 +183,21 @@ void sparse_accum_rows_multi_i8(const MatrixI8& packed,
       out.data(), out.rows(), out.cols());
 }
 
+void lstm_cell_update_i8(const MatrixI32& pre, const QuantCellParams& p,
+                         Matrix& c, Matrix& h) {
+  const Index batch = c.rows();
+  const Index dh = c.cols();
+  ZSS_EXPECTS(h.rows() == batch && h.cols() == dh);
+  ZSS_EXPECTS(pre.rows() == batch && pre.cols() == 4 * dh);
+  ZSS_EXPECTS(p.c_clip >= 1 && p.c_clip <= kMaxCellClip);
+  // A backend without the slot (NEON, out-of-tree tables) gets the
+  // scalar twin per call, like the int8 kernel slots above.
+  const simd::KernelBackend& active = simd::active_backend();
+  const simd::KernelBackend& backend =
+      active.lstm_cell_update_i8 != nullptr ? active : simd::kScalarBackend;
+  backend.lstm_cell_update_i8(pre.data(), c.data(), h.data(), batch, dh, p);
+}
+
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   ZSS_EXPECTS(a.cols() == b.rows());
   const Index m = a.rows();

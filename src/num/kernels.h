@@ -156,12 +156,49 @@ void sparse_accum_rows_i8(const MatrixI8& packed,
                           std::span<const std::int8_t> values, MatrixI32& out);
 
 /// Int8 twin of sparse_accum_rows_multi (per-lane CSR; accumulate
-/// flavour only — the engine zero-fills its i32 staging with a memset).
+/// flavour only — the engine accumulates into its bias-initialized
+/// i32 pre-activations).
 void sparse_accum_rows_multi_i8(const MatrixI8& packed,
                                 std::span<const Index> positions,
                                 std::span<const Index> row_start,
                                 std::span<const std::int8_t> values,
                                 MatrixI32& out);
+
+/// Largest cell clip the int8 cell update is defined for: f * cq, with
+/// f <= 127 and |cq| <= 127 * c_clip, must fit an i32, so
+/// c_clip <= floor((2^31 - 1) / 127^2). The model loader and the engine
+/// refuse anything larger.
+inline constexpr std::int32_t kMaxCellClip = 133144;
+
+/// The fixed parameters of the int8 LSTM cell update (the engine's
+/// quantized step, core/sparse_inference.cc). Each LUT points at the
+/// middle of 256 i32 entries, so lut[q] is the activation code of the
+/// int8 input q for every q in [-128, 127].
+struct QuantCellParams {
+  const std::int32_t* sigmoid = nullptr;   // f/i/o gates
+  const std::int32_t* tanh_pre = nullptr;  // g gate
+  const std::int32_t* tanh_c = nullptr;    // cell output
+  /// i32 pre-activation -> LUT input code: nearbyint(v * acc_to_pre),
+  /// clamped to [-127, 127].
+  double acc_to_pre = 0.0;
+  /// Cell clip: c lives on the 1/127 grid in [-c_clip, c_clip];
+  /// 1 <= c_clip <= kMaxCellClip.
+  std::int32_t c_clip = 1;
+};
+
+/// The integer cell update of the int8 datapath, per element of
+/// pre (B x 4dh, gate blocks f|i|o|g), c and h (B x dh):
+///   f, i, o = sigmoid[rq(pre_f)], ...; g = tanh_pre[rq(pre_g)]
+///   cq = clamp(rdiv(f * cq_prev, 127) + rdiv(i * g, 127), +-127 c_clip)
+///   h  = rdiv(o * tanh_c[rdiv(cq, c_clip)], 127)
+/// where cq_prev is c rounded onto the grid (NaN -> 0, clamped to
+/// +-127 c_clip first) and rdiv is the sign-symmetric round-half-away
+/// divide. c and h are written back as float(q) / 127 (q * kStateScale).
+/// Dispatched through the active backend's lstm_cell_update_i8 slot,
+/// falling back to the scalar twin per call; bit-identical on every
+/// backend (docs/exactness.md "int8").
+void lstm_cell_update_i8(const MatrixI32& pre, const QuantCellParams& p,
+                         Matrix& c, Matrix& h);
 
 /// out = in^T. in is (m x n), out becomes (n x m).
 void transpose(const Matrix& in, Matrix& out);

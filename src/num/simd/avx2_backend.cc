@@ -458,15 +458,15 @@ void tanh_avx2(const float* x, float* y, std::size_t n) {
 // --- int8 kernels ----------------------------------------------------
 // The int8 contract is wraparound-i32 exactness (num::madd_i8), and
 // wrapping addition is associative — so unlike the fp32 kernels above,
-// these are free to reduce horizontally and regroup. The widening
-// pipeline is vpmovsxbw (i8 -> i16, exact) + vpmaddwd (s16 x s16 pair
-// dot into full i32 — exact here: |a*b| <= 127^2 so a pair sum is at
-// most 32258, far inside i32) + vpaddd (the wrap). Deliberately NOT
-// vpmaddubsw: its u8 x s8 products pair-add with *16-bit saturation*,
-// which silently clamps and would break bit-exactness against the
-// reference twin; vpmaddwd at half the byte density is the fastest
-// AVX2 sequence that stays exact (true VNNI vpdpbusd needs a backend of
-// its own — ROADMAP).
+// these are free to reduce horizontally and regroup. Every kernel here
+// multiplies with vpmaddwd: int8 operands sign-extended to i16
+// (vpmovsxbw, exact), s16 x s16 pair dots into full i32 (exact: a pair
+// sum is at most 2 * 127^2 = 32258), folded in with vpaddd (the wrap).
+// The dense gemm pairs adjacent k of one row with adjacent k of
+// another; the skip kernels pair two kept rows at the same output
+// (below). Deliberately NOT vpmaddubsw: its u8 x s8 products pair-add
+// with *16-bit saturation*, which would need a range argument per call
+// site; VNNI vpdpbusd needs a backend of its own (ROADMAP).
 
 inline __m256i widen_i8(const std::int8_t* p) {
   return _mm256_cvtepi8_epi16(
@@ -579,117 +579,114 @@ void gemm_a_bt_i8_avx2(const std::int8_t* __restrict a,
   }
 }
 
-// y[j] += v * row[j] over 16 i32 outputs per step: widen the row chunk,
-// vpmullw against the broadcast value (exact — |v * r| <= 127^2 fits
-// i16), sign-extend both halves to i32, vpaddd.
-inline void accum_row_i8_avx2(std::int8_t v, const std::int8_t* __restrict row,
-                              std::int32_t* __restrict y, Index n) {
-  const __m256i vv = _mm256_set1_epi16(static_cast<short>(v));
-  Index j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m256i p16 = _mm256_mullo_epi16(widen_i8(row + j), vv);
-    const __m256i p0 = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p16));
-    const __m256i p1 = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p16, 1));
-    __m256i* yp = reinterpret_cast<__m256i*>(y + j);
-    _mm256_storeu_si256(yp, _mm256_add_epi32(_mm256_loadu_si256(yp), p0));
-    __m256i* yp1 = reinterpret_cast<__m256i*>(y + j + 8);
-    _mm256_storeu_si256(yp1, _mm256_add_epi32(_mm256_loadu_si256(yp1), p1));
-  }
-  for (; j < n; ++j) y[j] = madd_i8(v, row[j], y[j]);
+// --- int8 skip kernels: paired rows ---------------------------------
+// A chain pass takes its kept rows two at a time. The two rows' bytes
+// are interleaved (vpunpcklbw/hbw) and sign-extended (vpmovsxbw), so
+// each i16 pair is (a[j], b[j]); one vpmaddwd against the broadcast
+// word pair (v_a, v_b) then yields v_a * a[j] + v_b * b[j] as a full
+// i32 — exact, |sum| <= 2 * 127^2, with no saturation to reason about —
+// and one vpaddd folds it into the output. That is half the shuffles
+// per MAC of widening every row on its own (vpmullw plus two i16 -> i32
+// widenings). An odd kept count pads its last pair with a zero value
+// over the same row: a zero product, exact under the wrap contract.
+
+// v_a in the low word, v_b in the high word of every i32 lane.
+inline __m256i pair_values(std::int8_t va, std::int8_t vb) {
+  const std::uint32_t lo = static_cast<std::uint16_t>(va);
+  const std::uint32_t hi = static_cast<std::uint16_t>(vb);
+  return _mm256_set1_epi32(static_cast<std::int32_t>(lo | (hi << 16)));
 }
 
-void sparse_accum_rows_i8_avx2(const std::int8_t* __restrict packed,
-                               const Index* __restrict positions,
-                               std::size_t n_positions,
-                               const std::int8_t* __restrict values,
-                               std::int32_t* __restrict out, Index batch,
-                               Index n) {
-  for (std::size_t e = 0; e < n_positions; ++e) {
-    const std::int8_t* __restrict row = packed + positions[e] * n;
-    for (Index b = 0; b < batch; ++b) {
-      const std::int8_t v = values[e * static_cast<std::size_t>(batch) +
-                                   static_cast<std::size_t>(b)];
-      if (v == 0) continue;  // exact identity in integers too
-      accum_row_i8_avx2(v, row, out + b * n, n);
-    }
-  }
+// One row pair's contribution to the 16 i32 outputs at j: acc0 holds
+// outputs j..j+7, acc1 j+8..j+15.
+inline void pair_step_i8(__m256i& acc0, __m256i& acc1,
+                         const std::int8_t* __restrict ra,
+                         const std::int8_t* __restrict rb, Index j,
+                         __m256i vab) {
+  const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ra + j));
+  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rb + j));
+  acc0 = _mm256_add_epi32(
+      acc0,
+      _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm_unpacklo_epi8(a, b)), vab));
+  acc1 = _mm256_add_epi32(
+      acc1,
+      _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm_unpackhi_epi8(a, b)), vab));
 }
 
-// One chained contribution of entry (r, v16) to 16 i32 outputs at j.
-inline void chain_step_i8(__m256i& a0, __m256i& a1,
-                          const std::int8_t* __restrict r, Index j,
-                          __m256i v16) {
-  const __m256i p16 = _mm256_mullo_epi16(widen_i8(r + j), v16);
-  a0 = _mm256_add_epi32(a0,
-                        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p16)));
-  a1 = _mm256_add_epi32(
-      a1, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p16, 1)));
-}
-
-// Int8 chain pass for the shared merge schedule (multi_schedule.h): 16
-// outputs per step, up to kMultiGroup entries chained per out-row pass.
+// Int8 chain pass for the shared merge schedule (multi_schedule.h): up
+// to kMultiGroup rows, as (C + 1) / 2 pairs, per pass over 16 outputs.
 struct Avx2MultiChainPassI8 {
   template <int C, bool Ow>
   __attribute__((always_inline)) static inline void pass(
       std::int32_t* __restrict y, Index jt, Index je,
       const std::int8_t* const* __restrict gr,
       const std::int8_t* __restrict gv) {
-    const std::int8_t* __restrict r0 = gr[0];
-    const std::int8_t* __restrict r1 = C > 1 ? gr[1] : gr[0];
-    const std::int8_t* __restrict r2 = C > 2 ? gr[2] : gr[0];
-    const std::int8_t* __restrict r3 = C > 3 ? gr[3] : gr[0];
-    const std::int8_t* __restrict r4 = C > 4 ? gr[4] : gr[0];
-    const std::int8_t* __restrict r5 = C > 5 ? gr[5] : gr[0];
-    const std::int8_t* __restrict r6 = C > 6 ? gr[6] : gr[0];
-    const std::int8_t* __restrict r7 = C > 7 ? gr[7] : gr[0];
-    const __m256i v0 = _mm256_set1_epi16(static_cast<short>(gv[0]));
-    const __m256i v1 =
-        _mm256_set1_epi16(static_cast<short>(C > 1 ? gv[1] : std::int8_t{0}));
-    const __m256i v2 =
-        _mm256_set1_epi16(static_cast<short>(C > 2 ? gv[2] : std::int8_t{0}));
-    const __m256i v3 =
-        _mm256_set1_epi16(static_cast<short>(C > 3 ? gv[3] : std::int8_t{0}));
-    const __m256i v4 =
-        _mm256_set1_epi16(static_cast<short>(C > 4 ? gv[4] : std::int8_t{0}));
-    const __m256i v5 =
-        _mm256_set1_epi16(static_cast<short>(C > 5 ? gv[5] : std::int8_t{0}));
-    const __m256i v6 =
-        _mm256_set1_epi16(static_cast<short>(C > 6 ? gv[6] : std::int8_t{0}));
-    const __m256i v7 =
-        _mm256_set1_epi16(static_cast<short>(C > 7 ? gv[7] : std::int8_t{0}));
+    constexpr int kPairs = (C + 1) / 2;
+    const std::int8_t* ra[kPairs];
+    const std::int8_t* rb[kPairs];
+    __m256i vab[kPairs];
+    for (int p = 0; p < kPairs; ++p) {
+      const bool full = 2 * p + 1 < C;
+      ra[p] = gr[2 * p];
+      rb[p] = full ? gr[2 * p + 1] : gr[2 * p];
+      vab[p] = pair_values(gv[2 * p], full ? gv[2 * p + 1] : std::int8_t{0});
+    }
     Index j = jt;
     for (; j + 16 <= je; j += 16) {
-      __m256i a0 = Ow ? _mm256_setzero_si256()
-                      : _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(y + j));
-      __m256i a1 = Ow ? _mm256_setzero_si256()
-                      : _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(y + j + 8));
-      chain_step_i8(a0, a1, r0, j, v0);
-      if (C > 1) chain_step_i8(a0, a1, r1, j, v1);
-      if (C > 2) chain_step_i8(a0, a1, r2, j, v2);
-      if (C > 3) chain_step_i8(a0, a1, r3, j, v3);
-      if (C > 4) chain_step_i8(a0, a1, r4, j, v4);
-      if (C > 5) chain_step_i8(a0, a1, r5, j, v5);
-      if (C > 6) chain_step_i8(a0, a1, r6, j, v6);
-      if (C > 7) chain_step_i8(a0, a1, r7, j, v7);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), a0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j + 8), a1);
+      __m256i acc0 = Ow ? _mm256_setzero_si256()
+                        : _mm256_loadu_si256(
+                              reinterpret_cast<const __m256i*>(y + j));
+      __m256i acc1 = Ow ? _mm256_setzero_si256()
+                        : _mm256_loadu_si256(
+                              reinterpret_cast<const __m256i*>(y + j + 8));
+#pragma GCC unroll 4
+      for (int p = 0; p < kPairs; ++p) {
+        pair_step_i8(acc0, acc1, ra[p], rb[p], j, vab[p]);
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), acc0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j + 8), acc1);
     }
     for (; j < je; ++j) {
       std::int32_t a = Ow ? 0 : y[j];
-      a = madd_i8(gv[0], r0[j], a);
-      if (C > 1) a = madd_i8(gv[1], r1[j], a);
-      if (C > 2) a = madd_i8(gv[2], r2[j], a);
-      if (C > 3) a = madd_i8(gv[3], r3[j], a);
-      if (C > 4) a = madd_i8(gv[4], r4[j], a);
-      if (C > 5) a = madd_i8(gv[5], r5[j], a);
-      if (C > 6) a = madd_i8(gv[6], r6[j], a);
-      if (C > 7) a = madd_i8(gv[7], r7[j], a);
+      for (int e = 0; e < C; ++e) a = madd_i8(gv[e], gr[e][j], a);
       y[j] = a;
     }
   }
 };
+
+// The batch-1 skip path: for each lane, its non-zero values are chained
+// kMultiGroup at a time through the pass above, each group one pass
+// over the lane's whole out row (a single lane has no other lane to
+// keep a row tile L1-hot for).
+void sparse_accum_rows_i8_avx2(const std::int8_t* __restrict packed,
+                               const Index* __restrict positions,
+                               std::size_t n_positions,
+                               const std::int8_t* __restrict values,
+                               std::int32_t* __restrict out, Index batch,
+                               Index n) {
+  const std::size_t lanes = static_cast<std::size_t>(batch);
+  for (Index b = 0; b < batch; ++b) {
+    std::int32_t* __restrict y = out + b * n;
+    const std::int8_t* rows[kMultiGroup];
+    std::int8_t vals[kMultiGroup];
+    int cnt = 0;
+    for (std::size_t e = 0; e < n_positions; ++e) {
+      const std::int8_t v = values[e * lanes + static_cast<std::size_t>(b)];
+      if (v == 0) continue;  // exact identity in integers too
+      rows[cnt] = packed + positions[e] * n;
+      vals[cnt] = v;
+      if (++cnt == kMultiGroup) {
+        multi_dispatch_pass<Avx2MultiChainPassI8, false>(cnt, y, 0, n, rows,
+                                                         vals);
+        cnt = 0;
+      }
+    }
+    if (cnt > 0) {
+      multi_dispatch_pass<Avx2MultiChainPassI8, false>(cnt, y, 0, n, rows,
+                                                       vals);
+    }
+  }
+}
 
 void sparse_accum_rows_multi_i8_avx2(const std::int8_t* __restrict packed,
                                      const Index* __restrict positions,
@@ -700,6 +697,152 @@ void sparse_accum_rows_multi_i8_avx2(const std::int8_t* __restrict packed,
   sparse_accum_rows_multi_schedule<Avx2MultiChainPassI8, false, std::int8_t,
                                    std::int32_t>(packed, positions, row_start,
                                                  values, out, batch, n);
+}
+
+// --- int8 cell update --------------------------------------------------
+// Eight lanes of the scalar twin (scalar_backend.cc), step for step:
+//  * requantize: i32 -> double (exact), one multiply by acc_to_pre
+//    (the twin's single rounding), vroundpd to nearest-even (nearbyint
+//    in the default rounding mode), the ±127 clamp in double, then an
+//    exact conversion of the integral value;
+//  * the LUTs: vpgatherdd from the centred i32 tables;
+//  * the seeded c: float -> double, x127 (exact: 24 + 7 bits), rounded,
+//    NaN -> 0 by an ordered-compare mask, clamped to ±c_lim in double,
+//    converted — the twin's order;
+//  * rdiv: |p| + den/2 divided in double and truncated, sign restored
+//    by vpsignd. For |p| < 2^31 and den <= 2^22 the truncation is exact:
+//    a non-integral quotient Q sits at least 1/den below the next
+//    integer, while the division's error is below Q * 2^-53 < 2^-22.
+//    (float division would be exact only up to c_clip ~1040.) The
+//    products i*g and o*tanh(c) stay below 127^2, where float is exact
+//    (error below 128 * 2^-24 < 1/127), so those two use vdivps;
+//  * write-back float(q) * (1/127), one rounding like the twin's.
+// The dh % 8 tail runs the same vector code on a zero-padded copy.
+
+inline __m256i join_epi32(__m128i lo, __m128i hi) {
+  return _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+}
+
+inline __m256i requant8(__m256i v, __m256d scale) {
+  const __m256d lim = _mm256_set1_pd(127.0);
+  const __m256d neg = _mm256_set1_pd(-127.0);
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  __m256d lo = _mm256_round_pd(
+      _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(v)), scale),
+      kRound);
+  __m256d hi = _mm256_round_pd(
+      _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256(v, 1)),
+                    scale),
+      kRound);
+  lo = _mm256_min_pd(_mm256_max_pd(lo, neg), lim);
+  hi = _mm256_min_pd(_mm256_max_pd(hi, neg), lim);
+  return join_epi32(_mm256_cvtpd_epi32(lo), _mm256_cvtpd_epi32(hi));
+}
+
+inline __m256i grid_c8(__m256 c, __m256d c_lim) {
+  const __m256d k127 = _mm256_set1_pd(127.0);
+  const __m256d neg = _mm256_sub_pd(_mm256_setzero_pd(), c_lim);
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  __m256d lo = _mm256_round_pd(
+      _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(c)), k127),
+      kRound);
+  __m256d hi = _mm256_round_pd(
+      _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(c, 1)), k127),
+      kRound);
+  lo = _mm256_and_pd(lo, _mm256_cmp_pd(lo, lo, _CMP_ORD_Q));  // NaN -> 0
+  hi = _mm256_and_pd(hi, _mm256_cmp_pd(hi, hi, _CMP_ORD_Q));
+  lo = _mm256_min_pd(_mm256_max_pd(lo, neg), c_lim);
+  hi = _mm256_min_pd(_mm256_max_pd(hi, neg), c_lim);
+  return join_epi32(_mm256_cvtpd_epi32(lo), _mm256_cvtpd_epi32(hi));
+}
+
+// Sign-symmetric round-half-away divide, quotient in double.
+inline __m256i rdiv8(__m256i p, __m256d den, __m256i half) {
+  const __m256i t = _mm256_add_epi32(_mm256_abs_epi32(p), half);
+  const __m256d lo =
+      _mm256_div_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(t)), den);
+  const __m256d hi =
+      _mm256_div_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256(t, 1)), den);
+  return _mm256_sign_epi32(
+      join_epi32(_mm256_cvttpd_epi32(lo), _mm256_cvttpd_epi32(hi)), p);
+}
+
+// The same divide by 127 for |p| <= 127^2, quotient in float.
+inline __m256i rdiv127_small8(__m256i p) {
+  const __m256i t = _mm256_add_epi32(_mm256_abs_epi32(p), _mm256_set1_epi32(63));
+  const __m256 q =
+      _mm256_div_ps(_mm256_cvtepi32_ps(t), _mm256_set1_ps(127.0f));
+  return _mm256_sign_epi32(_mm256_cvttps_epi32(q), p);
+}
+
+inline __m256i gather_lut(const std::int32_t* lut, __m256i idx) {
+  return _mm256_i32gather_epi32(reinterpret_cast<const int*>(lut), idx, 4);
+}
+
+// Eight positions: gate pre-activations at pf/pi/po/pg, c read from
+// c_in, c and h written to c_out / h_out.
+inline void cell8(const std::int32_t* pf, const std::int32_t* pi,
+                  const std::int32_t* po, const std::int32_t* pg,
+                  const float* c_in, float* c_out, float* h_out,
+                  const QuantCellParams& p, __m256d scale, __m256d c_lim_d,
+                  __m256i c_lim, __m256d c_clip_d, __m256i c_half) {
+  const auto load = [](const std::int32_t* q) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+  };
+  const __m256i f = gather_lut(p.sigmoid, requant8(load(pf), scale));
+  const __m256i i = gather_lut(p.sigmoid, requant8(load(pi), scale));
+  const __m256i o = gather_lut(p.sigmoid, requant8(load(po), scale));
+  const __m256i g = gather_lut(p.tanh_pre, requant8(load(pg), scale));
+  const __m256i c_prev = grid_c8(_mm256_loadu_ps(c_in), c_lim_d);
+  const __m256d k127 = _mm256_set1_pd(127.0);
+  const __m256i h63 = _mm256_set1_epi32(63);
+  __m256i cq = _mm256_add_epi32(
+      rdiv8(_mm256_mullo_epi32(f, c_prev), k127, h63),
+      rdiv127_small8(_mm256_mullo_epi32(i, g)));
+  cq = _mm256_min_epi32(
+      _mm256_max_epi32(cq, _mm256_sub_epi32(_mm256_setzero_si256(), c_lim)),
+      c_lim);
+  const __m256i tc = gather_lut(p.tanh_c, rdiv8(cq, c_clip_d, c_half));
+  const __m256i hq = rdiv127_small8(_mm256_mullo_epi32(o, tc));
+  const __m256 grid = _mm256_set1_ps(1.0f / 127.0f);
+  _mm256_storeu_ps(c_out, _mm256_mul_ps(_mm256_cvtepi32_ps(cq), grid));
+  _mm256_storeu_ps(h_out, _mm256_mul_ps(_mm256_cvtepi32_ps(hq), grid));
+}
+
+void lstm_cell_update_i8_avx2(const std::int32_t* __restrict pre,
+                              float* __restrict c, float* __restrict h,
+                              Index batch, Index dh,
+                              const QuantCellParams& p) {
+  const __m256d scale = _mm256_set1_pd(p.acc_to_pre);
+  const std::int32_t c_lim = 127 * p.c_clip;
+  const __m256d c_lim_d = _mm256_set1_pd(static_cast<double>(c_lim));
+  const __m256i c_lim_i = _mm256_set1_epi32(c_lim);
+  const __m256d c_clip_d = _mm256_set1_pd(static_cast<double>(p.c_clip));
+  const __m256i c_half = _mm256_set1_epi32(p.c_clip / 2);
+  for (Index r = 0; r < batch; ++r) {
+    const std::int32_t* row = pre + r * 4 * dh;
+    float* cr = c + r * dh;
+    float* hr = h + r * dh;
+    Index j = 0;
+    for (; j + 8 <= dh; j += 8) {
+      cell8(row + j, row + dh + j, row + 2 * dh + j, row + 3 * dh + j, cr + j,
+            cr + j, hr + j, p, scale, c_lim_d, c_lim_i, c_clip_d, c_half);
+    }
+    if (j < dh) {
+      const std::size_t t = static_cast<std::size_t>(dh - j);
+      std::int32_t g[4][8] = {};
+      float c_tail[8] = {};
+      float h_tail[8] = {};
+      for (int gate = 0; gate < 4; ++gate) {
+        std::memcpy(g[gate], row + gate * dh + j, t * sizeof(std::int32_t));
+      }
+      std::memcpy(c_tail, cr + j, t * sizeof(float));
+      cell8(g[0], g[1], g[2], g[3], c_tail, c_tail, h_tail, p, scale, c_lim_d,
+            c_lim_i, c_clip_d, c_half);
+      std::memcpy(cr + j, c_tail, t * sizeof(float));
+      std::memcpy(hr + j, h_tail, t * sizeof(float));
+    }
+  }
 }
 
 }  // namespace
@@ -721,6 +864,7 @@ const KernelBackend kAvx2Backend = {
     sparse_accum_rows_multi_i8_avx2,
     sigmoid_avx2,
     tanh_avx2,
+    lstm_cell_update_i8_avx2,
 };
 
 }  // namespace zss::num::simd

@@ -28,6 +28,10 @@
 
 #include "num/types.h"
 
+namespace zss::num {
+struct QuantCellParams;  // num/kernels.h
+}  // namespace zss::num
+
 namespace zss::num::simd {
 
 struct KernelBackend {
@@ -93,15 +97,17 @@ struct KernelBackend {
                        std::int32_t* c, Index m, Index k, Index n) = nullptr;
   /// Int8 twin of sparse_accum_rows: out.row(b) += values[e * batch + b]
   /// * packed.row(positions[e]) in i32; zero-valued lanes skipped (an
-  /// exact identity in integer arithmetic too).
+  /// exact identity in integer arithmetic too). Serves the engine's
+  /// batch-1 skip path, so backends run it as the one-lane case of
+  /// their multi-lane chain pass.
   void (*sparse_accum_rows_i8)(const std::int8_t* packed,
                                const Index* positions,
                                std::size_t n_positions,
                                const std::int8_t* values, std::int32_t* out,
                                Index batch, Index n) = nullptr;
-  /// Int8 twin of sparse_accum_rows_multi (accumulate flavour only; the
-  /// engine zero-fills its i32 staging — a memset, cheap next to the
-  /// fp32 case where the overwrite flavour pays for itself).
+  /// Int8 twin of sparse_accum_rows_multi (accumulate flavour only: the
+  /// engine accumulates the input and recurrent products straight into
+  /// its bias-initialized i32 pre-activations).
   void (*sparse_accum_rows_multi_i8)(const std::int8_t* packed,
                                      const Index* positions,
                                      const Index* row_start,
@@ -117,6 +123,19 @@ struct KernelBackend {
   // that leaves a slot nullptr gets the scalar table's kernel per call.
   void (*sigmoid)(const float* x, float* y, std::size_t n) = nullptr;
   void (*tanh)(const float* x, float* y, std::size_t n) = nullptr;
+
+  // --- int8 cell update slot ------------------------------------------
+  /// Integer LSTM cell update over `batch` lanes of `dh` positions:
+  /// requantize the i32 pre-activations (batch x 4dh, gates f|i|o|g),
+  /// LUT activations, then the rdiv cell/hidden update, writing c (read
+  /// first as the previous cell state) and h (batch x dh, fp32 on the
+  /// 1/127 grid). Every backend must reproduce the scalar table's loop
+  /// — the twin — bit for bit, for every c_clip in [1, num::kMaxCellClip]
+  /// (docs/exactness.md "int8"). A backend that leaves the slot nullptr
+  /// gets the scalar table's kernel per call.
+  void (*lstm_cell_update_i8)(const std::int32_t* pre, float* c, float* h,
+                              Index batch, Index dh,
+                              const QuantCellParams& p) = nullptr;
 
   /// True when the kernel table is populated (false for stubs).
   bool implemented() const { return gemm_rows != nullptr; }

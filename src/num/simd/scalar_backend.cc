@@ -9,6 +9,8 @@
 #include "num/simd/backend.h"
 #include "num/simd/multi_schedule.h"
 
+#include <cmath>
+
 namespace zss::num::simd {
 
 namespace {
@@ -342,6 +344,79 @@ void sparse_accum_rows_multi_i8_scalar(const std::int8_t* __restrict packed,
                                                  values, out, batch, n);
 }
 
+// --- int8 cell update: the twin ---------------------------------------
+// The loop every backend's lstm_cell_update_i8 reproduces bit for bit
+// (num/kernels.h states the arithmetic; QuantizedLstmReference keeps an
+// independent longhand copy).
+
+// i32 pre-activation -> LUT input code. Round-to-nearest in double (an
+// i32 accumulator exceeds float's 24-bit mantissa) then clamp to the
+// symmetric ±127 range — the LUT saturates at its input endpoints
+// anyway, so clipping only loses already-saturated tails.
+inline std::int32_t requant_pre(std::int32_t v, double acc_to_pre) {
+  const double q = std::nearbyint(static_cast<double>(v) * acc_to_pre);
+  if (q >= 127.0) return 127;
+  if (q <= -127.0) return -127;
+  return static_cast<std::int32_t>(q);
+}
+
+// Sign-symmetric round-half-away-from-zero integer divide by a positive
+// denominator — the datapath's only division, used to bring products
+// of two 1/127-grid values back onto the grid. Symmetric so negating
+// every input negates every output exactly.
+inline std::int32_t rdiv(std::int32_t p, std::int32_t den) {
+  return p >= 0 ? (p + den / 2) / den : -((-p + den / 2) / den);
+}
+
+inline std::int32_t clamp_i32(std::int32_t v, std::int32_t lo,
+                              std::int32_t hi) {
+  return v < lo ? lo : (v > hi ? hi : v);
+}
+
+// The previous c onto the grid. The datapath's own c is already on it;
+// a caller-seeded float is rounded, and clamped in double before the
+// conversion so that NaN (-> 0) or |c| * 127 >= 2^31 stays defined.
+inline std::int32_t c_to_grid(float c, std::int32_t c_lim) {
+  const double q = std::nearbyint(static_cast<double>(c) * 127.0);
+  if (std::isnan(q)) return 0;
+  if (q >= c_lim) return c_lim;
+  if (q <= -c_lim) return -c_lim;
+  return static_cast<std::int32_t>(q);
+}
+
+void lstm_cell_update_i8_scalar(const std::int32_t* __restrict pre,
+                                float* __restrict c, float* __restrict h,
+                                Index batch, Index dh,
+                                const QuantCellParams& p) {
+  // Written back as float(q) * (1/127) — nn::PackedLstmWeightsI8::
+  // kStateScale, the expression the reference twin uses too.
+  constexpr float kGrid = 1.0f / 127.0f;
+  const std::int32_t c_lim = 127 * p.c_clip;
+  for (Index r = 0; r < batch; ++r) {
+    const std::int32_t* __restrict row = pre + r * 4 * dh;
+    float* __restrict cr = c + r * dh;
+    float* __restrict hr = h + r * dh;
+    for (Index j = 0; j < dh; ++j) {
+      const std::int32_t f = p.sigmoid[requant_pre(row[j], p.acc_to_pre)];
+      const std::int32_t i =
+          p.sigmoid[requant_pre(row[dh + j], p.acc_to_pre)];
+      const std::int32_t o =
+          p.sigmoid[requant_pre(row[2 * dh + j], p.acc_to_pre)];
+      const std::int32_t g =
+          p.tanh_pre[requant_pre(row[3 * dh + j], p.acc_to_pre)];
+      // |f * cq| <= 127^2 * c_clip fits i32 for c_clip <= kMaxCellClip.
+      std::int32_t cq = c_to_grid(cr[j], c_lim);
+      cq = clamp_i32(rdiv(f * cq, 127) + rdiv(i * g, 127), -c_lim, c_lim);
+      // cq / c_clip maps [-c_lim, c_lim] onto the tanh LUT's ±127 input
+      // span (whose grid is c_clip/127).
+      const std::int32_t tc = p.tanh_c[rdiv(cq, p.c_clip)];
+      const std::int32_t hq = rdiv(o * tc, 127);
+      cr[j] = static_cast<float>(cq) * kGrid;
+      hr[j] = static_cast<float>(hq) * kGrid;
+    }
+  }
+}
+
 // The activation slots are the scalar twins themselves.
 void sigmoid_scalar(const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = num::sigmoid(x[i]);
@@ -371,6 +446,7 @@ const KernelBackend kScalarBackend = {
     sparse_accum_rows_multi_i8_scalar,
     sigmoid_scalar,
     tanh_scalar,
+    lstm_cell_update_i8_scalar,
 };
 
 }  // namespace zss::num::simd

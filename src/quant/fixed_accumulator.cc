@@ -4,12 +4,22 @@
 
 namespace zss::quant {
 
-FixedAccumulator::FixedAccumulator(int bits, int pre_shift)
-    : bits_(bits),
-      pre_shift_(pre_shift),
-      max_((std::int32_t{1} << (bits - 1)) - 1),
-      min_(-(std::int32_t{1} << (bits - 1))) {
+namespace {
+
+// The width is checked before the limits shift by it: a shift past 31
+// would be undefined before the precondition could fire.
+int checked_bits(int bits) {
   ZSS_EXPECTS(bits >= 2 && bits <= 30);
+  return bits;
+}
+
+}  // namespace
+
+FixedAccumulator::FixedAccumulator(int bits, int pre_shift)
+    : bits_(checked_bits(bits)),
+      pre_shift_(pre_shift),
+      max_((std::int32_t{1} << (bits_ - 1)) - 1),
+      min_(-(std::int32_t{1} << (bits_ - 1))) {
   ZSS_EXPECTS(pre_shift >= 0 && pre_shift <= 16);
 }
 

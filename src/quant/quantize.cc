@@ -15,6 +15,9 @@ QuantParams choose_scale(std::span<const float> x) {
 std::int8_t quantize_one(float x, QuantParams p) {
   ZSS_EXPECTS(p.scale > 0.0f);
   const float q = std::nearbyint(x / p.scale);
+  // NaN has no code; mapping it to 0 keeps the conversion below defined
+  // and the output inside the symmetric range the int8 kernels assume.
+  if (std::isnan(q)) return 0;
   const float clamped = std::clamp(q, -127.0f, 127.0f);
   return static_cast<std::int8_t>(clamped);
 }

@@ -22,9 +22,11 @@ struct QuantParams {
 /// gets scale 1 so round-tripping stays exact.
 QuantParams choose_scale(std::span<const float> x);
 
-/// Quantizes to int8 with round-to-nearest and clamping to [-127, 127].
-/// (-128 is unused: symmetric range keeps negation exact, which the
-/// accelerator's sign-magnitude skip logic relies on.)
+/// Quantizes to int8 with round-to-nearest and clamping to [-127, 127];
+/// NaN maps to 0. (-128 is never produced: the symmetric range keeps
+/// negation exact, which the accelerator's sign-magnitude skip logic
+/// relies on, and the int8 kernels' vpmaddwd pair sums stay within
+/// 2 * 127^2.)
 void quantize(std::span<const float> x, QuantParams p,
               std::span<std::int8_t> out);
 

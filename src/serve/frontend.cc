@@ -419,8 +419,10 @@ void Frontend::drain_outbox() {
     std::lock_guard<std::mutex> lock(out_mu_);
     std::swap(outbox_, out_taking_);
   }
-  // Group flushes per connection: consecutive responses to one client
-  // coalesce into one send() most of the time.
+  // Group flushes per connection: a run of consecutive responses to
+  // one client is queued first and flushed once at the run's end. The
+  // flush still issues one send() per queued line (flush_conn walks the
+  // queue line by line); the grouping only defers it.
   Conn* last = nullptr;
   for (auto& [client, line] : out_taking_) {
     const auto it = conns_.find(client);

@@ -66,6 +66,7 @@ class MemFile final : public File {
 
   std::size_t write_at(std::uint64_t off, const void* data,
                        std::size_t n) override {
+    if (n == 0) return 0;  // memcpy needs non-null pointers even for 0
     if (off + n > data_->size()) data_->resize(off + n, 0);
     std::memcpy(data_->data() + off, data, n);
     return n;

@@ -193,7 +193,9 @@ void SegmentStore::serialize_record(serve_id_t id, const RecordMeta& meta,
                          static_cast<std::uint16_t>(enc.entries[i].offset));
       p += 2;
     }
-    std::memcpy(buf.data() + p, enc.values.data(), kept * sizeof(float));
+    if (kept > 0) {  // an empty encoding may have no buffer at all
+      std::memcpy(buf.data() + p, enc.values.data(), kept * sizeof(float));
+    }
     p += kept * sizeof(float);
   } else {
     std::memcpy(buf.data() + p, h.data(), dh * sizeof(float));

@@ -335,6 +335,34 @@ TEST(ModelV2Test, ForgedHeaderDimsRejected) {
   std::remove(forged.c_str());
 }
 
+TEST(ModelV2Test, CellClipCappedWhereTheInt8CellUpdateIsDefined) {
+  // f * cq in the int8 cell update is an i32 product with f <= 127 and
+  // |cq| <= 127 * c_clip: it fits for c_clip <= 133144 and overflows
+  // (UB) from 133145 on. The loader serves the former and refuses the
+  // latter with a message naming the bound.
+  ModelSpec spec = tiny_spec();
+  spec.quant_c_clip = 133144;
+  const std::string path = save_tiny("v2cclip.zssm", spec);
+  LoadedModel out;
+  std::string error;
+  ASSERT_TRUE(load_model(path, out, &error)) << error;
+  EXPECT_EQ(out.spec.quant_c_clip, 133144u);
+
+  std::vector<unsigned char> bytes = read_file(path);
+  const std::uint32_t too_big = 133145;
+  std::memcpy(bytes.data() + 36, &too_big, 4);  // c_clip field
+  fix_crc(bytes);
+  const std::string forged = temp_path("v2cclip_forged.zssm");
+  write_file(forged, bytes);
+  LoadedModel refused;
+  error.clear();
+  EXPECT_FALSE(load_model(forged, refused, &error));
+  EXPECT_NE(error.find("cell clip 133145"), std::string::npos) << error;
+  EXPECT_NE(error.find("133144"), std::string::npos) << error;
+  std::remove(path.c_str());
+  std::remove(forged.c_str());
+}
+
 TEST(ModelV2Test, ForgedParamNameRejected) {
   // Corrupt one byte of a stored parameter name and repair the CRC:
   // binding is by name, so the loader must refuse.

@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <string>
 
+#include "num/kernels.h"
 #include "num/rng.h"
 #include "num/simd/backend.h"
 
@@ -72,6 +76,61 @@ TEST_F(QuantizedInferenceTest, QuantStepEqualsDenseAndTwinOnEveryBackend) {
                 sparse.stats().state_macs_total);
       EXPECT_EQ(dense.stats().state_macs_effectual,
                 dense.stats().state_macs_total);
+    }
+  }
+}
+
+TEST_F(QuantizedInferenceTest, SeededCellStatesOffTheGridStayDefined) {
+  // A caller-seeded c is rounded onto the 1/127 grid before the cell
+  // update. NaN, infinities and |c| * 127 >= 2^31 have no i32 code: the
+  // engine and the twin clamp to ±127 c_clip in double first (NaN -> 0),
+  // so the conversion is defined (the sanitize build checks it) and both
+  // agree bitwise — at the smallest, the default and the largest clip.
+  const Index dh = cell_.hidden_dim();
+  const Index dx = cell_.input_dim();
+  StatePruner pruner(PrunerConfig::fixed(0.08f));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float seeds[] = {std::numeric_limits<float>::quiet_NaN(),
+                         inf,
+                         -inf,
+                         1e30f,
+                         -1e30f,
+                         3e7f,
+                         -2.0e9f,
+                         std::numeric_limits<float>::max(),
+                         0.5f / 127.0f,
+                         -0.5f / 127.0f};
+  for (const int c_clip : {1, 8, static_cast<int>(num::kMaxCellClip)}) {
+    QuantConfig cfg = QuantConfig::int8();
+    cfg.c_clip = c_clip;
+    for (const num::simd::KernelBackend* backend :
+         num::simd::available_backends()) {
+      num::simd::set_backend_for_testing(backend);
+      SCOPED_TRACE(std::string(backend->name) + " c_clip " +
+                   std::to_string(c_clip));
+      const Index batch = 3;
+      SparseLstmEngine sparse(cell_, pruner, {}, cfg);
+      SparseLstmEngine dense(cell_, pruner, {}, cfg);
+      QuantizedLstmReference twin(cell_, pruner, cfg);
+      Matrix c_s(batch, dh);
+      Index n = 0;
+      for (float& v : c_s.flat()) v = seeds[n++ % std::size(seeds)];
+      Matrix c_d = c_s, c_t = c_s;
+      Matrix h_s(batch, dh, 0.0f), h_d(batch, dh, 0.0f), h_t(batch, dh, 0.0f);
+      Rng step_rng(7);
+      for (int t = 0; t < 3; ++t) {
+        const Matrix x = random_matrix(batch, dx, step_rng);
+        sparse.step(x, h_s, c_s);
+        dense.step_dense(x, h_d, c_d);
+        twin.step(x, h_t, c_t);
+        ASSERT_EQ(c_s, c_d) << "step " << t;
+        ASSERT_EQ(h_s, h_d) << "step " << t;
+        ASSERT_EQ(c_s, c_t) << "step " << t;
+        ASSERT_EQ(h_s, h_t) << "step " << t;
+        for (const float v : c_s.flat()) {
+          ASSERT_LE(std::fabs(v), static_cast<float>(c_clip)) << v;
+        }
+      }
     }
   }
 }

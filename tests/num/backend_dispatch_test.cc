@@ -4,6 +4,7 @@
 // on the degenerate kept-row sets (empty / full / singleton) that the
 // vector tails and skip branches must get right. The numeric contract
 // every backend is held to is docs/exactness.md.
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -211,6 +212,45 @@ TEST_F(BackendDispatchTest, MissingInt8SlotsFallBackToScalarNotCrash) {
                         static_cast<std::size_t>(out.size()) *
                             sizeof(std::int32_t)),
             0);
+}
+
+TEST_F(BackendDispatchTest, MissingCellUpdateSlotFallsBackToScalarTwin) {
+  // A backend without the lstm_cell_update_i8 slot (NEON, out-of-tree
+  // tables) must get the scalar twin per call, not a null call.
+  KernelBackend gutted = active_backend();  // usable here, SIMD or not
+  gutted.name = "gutted-no-cell-update";
+  gutted.lstm_cell_update_i8 = nullptr;
+  set_backend_for_testing(&gutted);
+
+  Rng rng(77);
+  std::array<std::int32_t, 256> sig{};
+  std::array<std::int32_t, 256> tnh{};
+  for (std::size_t q = 0; q < 256; ++q) {
+    sig[q] = static_cast<std::int32_t>(rng.uniform(0.0, 128.0));
+    tnh[q] = static_cast<std::int32_t>(rng.uniform(-127.0, 128.0));
+  }
+  QuantCellParams p;
+  p.sigmoid = sig.data() + 128;
+  p.tanh_pre = tnh.data() + 128;
+  p.tanh_c = tnh.data() + 128;
+  p.acc_to_pre = 0.01;
+  p.c_clip = 8;
+  const Index batch = 2;
+  const Index dh = 13;
+  MatrixI32 pre(batch, 4 * dh);
+  for (std::int32_t& v : pre.flat()) {
+    v = static_cast<std::int32_t>(rng.uniform(-2e4, 2e4));
+  }
+  Matrix c(batch, dh);
+  for (float& v : c.flat()) v = static_cast<float>(rng.uniform(-9.0, 9.0));
+  Matrix c_want = c;
+  Matrix h(batch, dh, 0.0f);
+  Matrix h_want(batch, dh, 0.0f);
+  lstm_cell_update_i8(pre, p, c, h);  // must not crash
+  kScalarBackend.lstm_cell_update_i8(pre.data(), c_want.data(),
+                                     h_want.data(), batch, dh, p);
+  EXPECT_EQ(c, c_want);
+  EXPECT_EQ(h, h_want);
 }
 
 // --- cross-backend agreement on degenerate kept-row sets --------------

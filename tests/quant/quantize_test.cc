@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "num/kernels.h"
@@ -146,6 +148,44 @@ TEST(QuantizeTest, NegationSymmetryProperty) {
               static_cast<std::int8_t>(-quantize_one(x, p)))
         << x;
   }
+}
+
+// -128 never reaches an int8 kernel: every float — huge, infinite,
+// NaN, exactly on the -127.5 / -128 boundary, denormal — quantizes into
+// [-127, 127] at any scale. The int8 kernels' exactness arguments
+// (pair sums of at most 2 * 127^2) and the engine's negation symmetry
+// both rest on it.
+TEST(QuantizeTest, NeverProducesMinus128Property) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {
+      -inf, inf, std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::lowest(), std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::denorm_min(), -0.0f};
+  num::Rng rng(128);
+  for (const float scale : {1.0f / 127.0f, 0.031f, 1.0f, 1e-30f, 3e30f}) {
+    const QuantParams p{scale};
+    std::vector<float> x(std::begin(specials), std::end(specials));
+    for (const float k : {-126.5f, -127.0f, -127.5f, -128.0f, -128.5f,
+                          -129.0f, 126.5f, 127.5f, 128.0f}) {
+      x.push_back(k * scale);
+      x.push_back(std::nextafter(k * scale, -inf));
+      x.push_back(std::nextafter(k * scale, inf));
+    }
+    for (int i = 0; i < 4000; ++i) {
+      x.push_back(static_cast<float>(rng.uniform(-300.0, 300.0)) * scale);
+    }
+    std::vector<std::int8_t> q(x.size());
+    quantize(x, p, q);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_GE(q[i], -127) << x[i] << " at scale " << scale;
+      EXPECT_LE(q[i], 127) << x[i] << " at scale " << scale;
+      EXPECT_EQ(q[i], quantize_one(x[i], p));
+    }
+  }
+  EXPECT_EQ(quantize_one(std::numeric_limits<float>::quiet_NaN(),
+                         QuantParams{1.0f}),
+            0);
 }
 
 // quantize(dequantize(quantize(x))) == quantize(x): one round trip

@@ -31,7 +31,9 @@
 // the per-layer exported thresholds build the fixed pruners, and
 // --quant serves the int8 datapath on the grid the trainer recorded
 // (a checkpoint without a recorded grid refuses --quant). --pipeline
-// enables the layer wavefront on multi-layer models (serve/shard.h);
+// enables the layer wavefront on multi-layer models (serve/shard.h) —
+// in a shard's flush only (the flush verb, the final drain at shutdown);
+// live serving and trace replay run the sequential schedule;
 // --threads sets num::parallel_for workers. --ttl-us and
 // --max-sessions bound the per-shard session stores in either mode
 // (give the replay the same values to reproduce a recorded live run).
@@ -312,6 +314,9 @@ void usage() {
       "                 [--max-sessions=N] [--dump] [--digests=FILE]\n"
       "                 [--spill-dir=DIR] [--spill-encoded] [--quant]\n"
       "                 [--model=FILE] [--pipeline] [--threads=N]\n"
+      "                 (--pipeline runs the layer wavefront in flush\n"
+      "                 only: the flush verb and the drain at shutdown;\n"
+      "                 live serving and replay stay sequential)\n"
       "                 (--quant serves the int8 engine datapath; digests\n"
       "                 stay shard/batch-invariant — docs/exactness.md)\n"
       "                 (--model serves a trained v2 checkpoint from\n"
