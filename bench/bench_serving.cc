@@ -126,13 +126,11 @@ struct StackedResult {
   num::Index shards = 0;
   num::Index max_batch = 0;
   num::Index requests = 0;
-  bool pipeline = false;
   double wall_ms = 0.0;
   double wall_rps = 0.0;
   double capacity_rps = 0.0;
-  /// Per-session digests identical to the sequential 1-shard reference
-  /// run of the same model — the pipelined wavefront and any shard
-  /// count must reproduce the reference bit-for-bit.
+  /// Per-session digests identical to the 1-shard reference run of the
+  /// same model — any shard count must reproduce it bit-for-bit.
   bool bit_exact = false;
 };
 
@@ -377,21 +375,19 @@ LiveResult run_live_config(const nn::LstmCell& cell, float threshold,
 }
 
 /// One stacked-serving configuration: drain the same request stream
-/// through an L-layer ServeModel with the sequential or the
-/// layer-pipelined (wavefront) flush, one thread per shard. Per-session
+/// through an L-layer ServeModel, one thread per shard. Per-session
 /// digests are folded in the sinks and merged (sessions are pinned, so
 /// the per-shard tables are disjoint); the caller compares them against
-/// the sequential 1-shard reference for bit-exactness.
+/// the 1-shard reference for bit-exactness.
 StackedResult run_stacked_config(const serve::ServeModel& model,
                                  num::Index input_dim, num::Index layers,
                                  num::Index shards, num::Index max_batch,
-                                 bool pipeline, num::Index sessions,
-                                 num::Index requests, std::uint64_t seed,
+                                 num::Index sessions, num::Index requests,
+                                 std::uint64_t seed,
                                  serve::DigestTable& digests) {
   serve::PoolConfig config;
   config.shards = shards;
   config.policy.max_batch = max_batch;
-  config.pipeline = pipeline;
   serve::EnginePool pool(model, config);
 
   auto enqueue_all = [&] {
@@ -434,7 +430,6 @@ StackedResult run_stacked_config(const serve::ServeModel& model,
   r.shards = shards;
   r.max_batch = max_batch;
   r.requests = requests;
-  r.pipeline = pipeline;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.wall_rps = static_cast<double>(requests) / (r.wall_ms / 1e3);
   double max_busy_us = 0.0;
@@ -965,20 +960,20 @@ void write_json(const std::string& path, num::Index dh, num::Index dx,
   }
   std::fprintf(f, "  ],\n");
 
-  // Stacked serving: L-layer models, sequential vs wavefront-pipelined
-  // flush. The regression gate hard-fails when this block is missing or
-  // any row has bit_exact=false (every schedule and shard count must
-  // reproduce the sequential 1-shard digests exactly).
+  // Stacked serving: L-layer models at 1 and 4 shards. The regression
+  // gate hard-fails when this block is missing or any row has
+  // bit_exact=false (every shard count must reproduce the 1-shard
+  // digests exactly).
   std::fprintf(f, "  \"stacked\": [\n");
   for (std::size_t i = 0; i < stacked.size(); ++i) {
     const StackedResult& r = stacked[i];
     std::fprintf(
         f,
         "    {\"layers\": %lld, \"shards\": %lld, \"max_batch\": %lld, "
-        "\"pipeline\": %s, \"requests\": %lld, \"wall_ms\": %.2f, "
+        "\"requests\": %lld, \"wall_ms\": %.2f, "
         "\"wall_rps\": %.1f, \"capacity_rps\": %.1f, \"bit_exact\": %s}%s\n",
         static_cast<long long>(r.layers), static_cast<long long>(r.shards),
-        static_cast<long long>(r.max_batch), r.pipeline ? "true" : "false",
+        static_cast<long long>(r.max_batch),
         static_cast<long long>(r.requests), r.wall_ms, r.wall_rps,
         r.capacity_rps, r.bit_exact ? "true" : "false",
         i + 1 < stacked.size() ? "," : "");
@@ -1172,11 +1167,11 @@ int main(int argc, char** argv) {
     ::rmdir(spill_dir.c_str());
   }
 
-  // Stacked serving: L-layer models through the sequential vs the
-  // layer-pipelined (wavefront) flush, with a bit-exactness cross-check
-  // — every configuration's per-session digests must equal the
-  // sequential 1-shard reference of the same model. The regression gate
-  // hard-fails if this block is missing or any row is not bit_exact.
+  // Stacked serving: L-layer models at 1 and 4 shards, with a
+  // bit-exactness cross-check — every configuration's per-session
+  // digests must equal the 1-shard reference of the same model. The
+  // regression gate hard-fails if this block is missing or any row is
+  // not bit_exact.
   std::vector<StackedResult> stacked_results;
   {
     const auto stacked_requests = std::min<num::Index>(requests, 2048);
@@ -1192,10 +1187,10 @@ int main(int argc, char** argv) {
       layer_pruners.emplace_back(core::PrunerConfig::fixed(
           threshold * (1.0f + 0.1f * static_cast<float>(l))));
     }
-    std::printf("\nstacked serving (L layers, wavefront pipeline vs "
-                "sequential flush): digests vs 1-shard reference\n");
-    std::printf("%-7s %-7s %-9s %12s %12s %10s\n", "layers", "shards",
-                "pipeline", "wall_rps", "capacity_rps", "bit_exact");
+    std::printf("\nstacked serving (L layers): digests vs 1-shard "
+                "reference\n");
+    std::printf("%-7s %-7s %12s %12s %10s\n", "layers", "shards",
+                "wall_rps", "capacity_rps", "bit_exact");
     for (const num::Index layers : {num::Index{2}, num::Index{3}}) {
       std::vector<const nn::LstmCell*> cells;
       std::vector<const core::StatePruner*> pruners;
@@ -1208,21 +1203,18 @@ int main(int argc, char** argv) {
       model.pruners = pruners;
       serve::DigestTable reference;
       for (const num::Index shards : {num::Index{1}, num::Index{4}}) {
-        for (const bool pipeline : {false, true}) {
-          serve::DigestTable digests;
-          StackedResult sr = run_stacked_config(
-              model, dx, layers, shards, /*max_batch=*/4, pipeline, sessions,
-              stacked_requests, static_cast<std::uint64_t>(layers) * 1000,
-              digests);
-          if (reference.empty()) reference = digests;  // 1-shard sequential
-          sr.bit_exact = digests == reference;
-          stacked_results.push_back(sr);
-          std::printf("%-7lld %-7lld %-9s %12.1f %12.1f %10s\n",
-                      static_cast<long long>(sr.layers),
-                      static_cast<long long>(sr.shards),
-                      sr.pipeline ? "on" : "off", sr.wall_rps, sr.capacity_rps,
-                      sr.bit_exact ? "yes" : "NO");
-        }
+        serve::DigestTable digests;
+        StackedResult sr = run_stacked_config(
+            model, dx, layers, shards, /*max_batch=*/4, sessions,
+            stacked_requests, static_cast<std::uint64_t>(layers) * 1000,
+            digests);
+        if (reference.empty()) reference = digests;  // the 1-shard run
+        sr.bit_exact = digests == reference;
+        stacked_results.push_back(sr);
+        std::printf("%-7lld %-7lld %12.1f %12.1f %10s\n",
+                    static_cast<long long>(sr.layers),
+                    static_cast<long long>(sr.shards), sr.wall_rps,
+                    sr.capacity_rps, sr.bit_exact ? "yes" : "NO");
       }
     }
   }

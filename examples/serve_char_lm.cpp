@@ -6,7 +6,7 @@
 // virtual-clock path.
 //
 // Usage: serve_char_lm [--model=data/models/tiny_char_lm.zssm]
-//                      [--steps=120] [--pipeline]
+//                      [--steps=120]
 //
 // The trained model is the tiny 2-layer checkpoint zss_train writes
 // (docs/serving.md "Serving trained models"); the sample is only as
@@ -38,14 +38,6 @@ std::string parse_str(int argc, char** argv, const std::string& name,
   return fallback;
 }
 
-bool parse_bool(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,7 +45,6 @@ int main(int argc, char** argv) {
       parse_str(argc, argv, "model", "data/models/tiny_char_lm.zssm");
   const auto steps = static_cast<num::Index>(
       std::atol(parse_str(argc, argv, "steps", "120").c_str()));
-  const bool pipeline = parse_bool(argc, argv, "pipeline");
 
   core::LoadedModel loaded;
   std::string error;
@@ -88,8 +79,7 @@ int main(int argc, char** argv) {
   model.name = path;
   model.vocab = static_cast<num::Index>(spec.vocab);
 
-  serve::PoolConfig pc;
-  pc.pipeline = pipeline;
+  const serve::PoolConfig pc;
   serve::EnginePool pool(model, pc);
 
   // Greedy decoding is a submit -> serve -> argmax -> submit loop: the
@@ -119,9 +109,8 @@ int main(int argc, char** argv) {
   const serve::SessionId session = 1;
   num::Index token = 26;  // corpus symbol table: ' ' (a word boundary)
 
-  std::printf("greedy sample (%lld chars, %s schedule):\n",
-              static_cast<long long>(steps),
-              pipeline ? "pipelined" : "sequential");
+  std::printf("greedy sample (%lld chars):\n",
+              static_cast<long long>(steps));
   std::string text;
   for (num::Index i = 0; i < steps; ++i) {
     if (!server.submit(session, token).has_value()) break;

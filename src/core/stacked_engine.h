@@ -17,13 +17,8 @@
 //  * h/c state is caller-owned, one (B x dh) pair per layer, bound per
 //    call — the serving layer passes a session's own matrices through.
 //
-// step_layer() exposes a single layer's step so the serving shard can
-// pipeline layers across consecutive steps (layer l of step t runs
-// while layer l-1 of step t+1 runs — serve/shard.cc): concurrent
-// flights always occupy DIFFERENT layers, and distinct layers are
-// distinct SparseLstmEngine instances with disjoint scratch, so the
-// wavefront needs no locking and stays bit-identical to the sequential
-// schedule.
+// step_layer() exposes a single layer's step so a caller can time the
+// layers one by one (zss_bench's per-layer engine probe).
 #pragma once
 
 #include <deque>
@@ -65,7 +60,7 @@ class StackedEngine {
   void step_dense(const num::Matrix& x, std::span<num::Matrix> h,
                   std::span<num::Matrix> c, num::Matrix* dense_top = nullptr);
 
-  /// One layer's step, for the serving wavefront: `input` is the model
+  /// One layer's step, for per-layer probes: `input` is the model
   /// input (l == 0) or the previous layer's dense h; `dense_h` must be
   /// non-null for l < layers()-1 (it feeds layer l+1) and taps the
   /// classifier view off the top layer.

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "num/types.h"
@@ -28,18 +27,14 @@ void set_num_threads(int n);
 /// Iterations below which a chunk is not worth a thread spawn.
 inline constexpr Index kParallelGrain = 4;
 
-/// Runs fn(chunk_begin, chunk_end) over a partition of [begin, end)
-/// with an explicit grain: at most one chunk per `grain` iterations.
-/// The row kernels use the default grain (kParallelGrain) — a handful
-/// of rows is not worth a spawn — but callers whose items are whole
-/// engine steps (the serving layer's per-layer pipeline) pass grain 1
-/// so even a 2-item range can split. With num_threads() == 1 (the
-/// default) this is a direct call either way.
+/// Runs fn(chunk_begin, chunk_end) over a partition of [begin, end):
+/// at most one chunk per kParallelGrain iterations. With
+/// num_threads() == 1 (the default) this is a direct call.
 template <typename F>
-void parallel_for(Index begin, Index end, F&& fn, Index grain) {
+void parallel_for(Index begin, Index end, F&& fn) {
   const Index n = end - begin;
   if (n <= 0) return;
-  const auto max_chunks = (n + grain - 1) / grain;
+  const auto max_chunks = (n + kParallelGrain - 1) / kParallelGrain;
   const Index chunks = std::min<Index>(num_threads(), max_chunks);
   if (chunks <= 1) {
     fn(begin, end);
@@ -60,13 +55,6 @@ void parallel_for(Index begin, Index end, F&& fn, Index grain) {
     lo = hi;
   }
   for (auto& w : workers) w.join();
-}
-
-/// Default-grain partition (kParallelGrain) — the kernel-layer entry
-/// point.
-template <typename F>
-void parallel_for(Index begin, Index end, F&& fn) {
-  parallel_for(begin, end, std::forward<F>(fn), kParallelGrain);
 }
 
 }  // namespace zss::num

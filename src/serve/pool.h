@@ -67,10 +67,6 @@ struct PoolConfig {
   /// quantized mode (core::QuantConfig::int8()); shard-count
   /// determinism holds for both (tests/serve/shard_determinism_test.cc).
   core::QuantConfig quant;
-  /// Layer-pipelined flush on multi-layer models (serve/shard.h's
-  /// wavefront). Ignored for single-layer models. Bit-identical to the
-  /// sequential schedule at any shard count — only wall-clock changes.
-  bool pipeline = false;
 };
 
 class EnginePool {
@@ -100,8 +96,7 @@ class EnginePool {
   /// requests consumed; call in a loop until 0 to settle a timestep.
   num::Index process_ready(std::int64_t now_us, const ResponseSink& sink);
 
-  /// Sequentially drains every queue (with pipelining, through each
-  /// shard's layer wavefront).
+  /// Sequentially drains every queue (each shard's flush).
   num::Index flush(std::int64_t now_us, const ResponseSink& sink);
 
   /// Drains every shard on its own thread (shared-nothing, so outputs

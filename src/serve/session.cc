@@ -67,7 +67,7 @@ void SessionStore::journal_note(store::JournalRecordKind kind,
 }
 
 void SessionStore::evict(Session& s, bool spill_state) {
-  ZSS_ASSERT(s.pinned == 0);
+  ZSS_ASSERT(!s.pinned);
   lru_unlink(s);
   bump(evicted_);
   bool tiered = false;
@@ -142,7 +142,7 @@ Session& SessionStore::get_or_create(SessionId id, std::int64_t arrival_us) {
       // monotone), so with max_sessions > max_batch the oldest alive
       // session is never pinned; the walk is belt-and-braces, not a
       // policy.
-      while (victim != nullptr && victim->pinned > 0) {
+      while (victim != nullptr && victim->pinned) {
         victim = victim->lru_prev_;
       }
       if (victim != nullptr) evict(*victim, /*spill_state=*/true);
@@ -211,7 +211,7 @@ num::Index SessionStore::sweep_expired(std::int64_t newest_arrival_us) {
   while (s != nullptr &&
          newest_arrival_us - s->last_arrival_us > ttl_.ttl_us) {
     Session* prev = s->lru_prev_;
-    if (s->pinned == 0) {
+    if (!s->pinned) {
       // No spill: any future request of an expired session arrives
       // past its TTL, so a record here could never be restored.
       evict(*s, /*spill_state=*/false);

@@ -21,32 +21,17 @@
 // trained model's threshold via StatePruner::effective_threshold and
 // serve with PrunerConfig::fixed instead).
 //
-// Layer pipelining (opt-in, multi-layer models): flush() can run a
-// wavefront — up to L batches in flight, the k-th most recent at layer
-// L-1-k — so layer l of step t overlaps layer l-1 of step t+1 across
-// num::parallel_for workers. Concurrent flights always occupy DIFFERENT
-// layers, and distinct layers are distinct SparseLstmEngine instances
-// with disjoint scratch and stats, so the tick needs no locking. Bit-
-// identity with the sequential schedule is structural: per layer, batch
-// t's step always runs a full tick before batch t+1's (the recurrence
-// order), pop_batch order is unchanged (it never reads session state),
-// responses retire in admission order, and the two cross-batch hazards
-// are fenced — a session appearing in two in-flight batches holds two
-// pins (Session::pinned is a count), and a batch whose admission would
-// lazily TTL-reset a pinned session waits until the in-flight batches
-// drain. Eviction can never hit an in-flight lane: a capped store must
-// satisfy max_sessions > layers * max_batch when pipelining.
+// Schedule: a batch runs all L layers of its step before the next
+// batch starts (core::StackedEngine::step), the order the paper's
+// accelerator runs a step's layers in.
 //
 // Zero-allocation contract: once every session in play exists and the
 // warm-up batches ran, process_ready()/flush() perform no heap
 // allocations (engine reserve() at construction, staging matrices
-// resized within capacity, ring-buffered queue, pre-sized flights).
-// The pipelined wavefront keeps that contract per tick except inside
-// num::parallel_for itself, which spawns its worker threads per call.
+// resized within capacity, ring-buffered queue).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <vector>
 
 #include "core/sparse_inference.h"
@@ -84,21 +69,13 @@ class EngineShard {
   /// batch-composition-dependent pruning — see the determinism note
   /// above. A bounded session store (ttl.max_sessions > 0) must leave
   /// room for every pinned lane plus an eviction victim:
-  /// max_sessions > max_batch, and > layers * max_batch with
-  /// `pipeline` (up to layers batches hold pins at once).
+  /// max_sessions > max_batch.
   /// `quant` selects the engines' datapath: default fp32, or the int8
   /// quantized mode (core::QuantConfig::int8()). Quantized shards keep
   /// the full determinism guarantee — every quantization scale is
   /// fixed at construction, so no batch-composition dependence can
   /// enter through the datapath (docs/exactness.md "int8").
   EngineShard(const ServeModel& model, const BatchPolicy& policy,
-              sparse::EncoderConfig encoder = {}, SessionTtl ttl = {},
-              core::QuantConfig quant = {}, bool pipeline = false);
-
-  /// Single-layer convenience (the synthetic-load benches and most
-  /// tests): serve one borrowed cell/pruner with one-hot inputs.
-  EngineShard(const nn::LstmCell& cell, const core::StatePruner& pruner,
-              const BatchPolicy& policy,
               sparse::EncoderConfig encoder = {}, SessionTtl ttl = {},
               core::QuantConfig quant = {});
 
@@ -108,22 +85,18 @@ class EngineShard {
   /// (serve/batcher.h). Returns the number of requests consumed from
   /// the queue (0 = nothing pending): served ones plus any answered
   /// `err timeout` — every consumed request produces exactly one sink
-  /// call either way. Always the sequential schedule — the wavefront
-  /// lives in flush().
+  /// call either way.
   num::Index process_ready(std::int64_t now_us, const ResponseSink& sink);
 
   /// Serves everything queued (shutdown, the `flush` verb, closed-loop
-  /// benches). Batches still respect max_batch and session conflicts.
-  /// With pipelining enabled and a multi-layer model, runs the layer
-  /// wavefront described above. Returns requests consumed (served +
-  /// timed out), as process_ready.
+  /// benches): process_ready until the queue is empty. Returns requests
+  /// consumed (served + timed out), as process_ready.
   num::Index flush(std::int64_t now_us, const ResponseSink& sink);
 
   num::Index pending() const { return batcher_.pending(); }
   const core::StackedEngine& engine() const { return engine_; }
   SessionStore& sessions() { return sessions_; }
   const SessionStore& sessions() const { return sessions_; }
-  bool pipeline() const { return pipeline_; }
 
   const ShardStats& stats() const { return stats_; }
 
@@ -140,36 +113,13 @@ class EngineShard {
   void reset_stats();
 
  private:
-  /// One batch moving through the layer wavefront. Pre-sized at
-  /// construction; flights are reused round-robin, never reallocated.
-  struct Flight {
-    std::vector<Request> requests;
-    std::vector<Session*> lanes;
-    num::Index batch = 0;
-    num::Index layer = 0;  // next layer this flight will run
-    bool admitted = false;  // lanes pinned, x built
-    std::chrono::steady_clock::time_point t0;
-    num::Matrix x;      // model input (B x input_dim), layer 0 only
-    num::Matrix ff[2];  // dense-h ping-pong between layers (B x dh)
-    num::Matrix hl;     // gathered layer state, batch > 1 (B x dh)
-    num::Matrix cl;
-  };
-
-  void init(const BatchPolicy& policy);
-  /// Answers every popped request whose deadline passed with a
-  /// timed_out Response and compacts the rest in place (FIFO order
-  /// preserved). Returns the new batch size.
-  num::Index drop_expired(std::vector<Request>& requests, num::Index batch,
-                          std::int64_t now_us, const ResponseSink& sink);
-  num::Index flush_wavefront(std::int64_t now_us, const ResponseSink& sink);
-  void build_input(const std::vector<Request>& requests, num::Index batch,
-                   num::Matrix& x);
-  /// Pins lanes + builds x. Requires the TTL hazard check to have
-  /// passed (no pinned session may lazily reset during admission).
-  void admit(Flight& f);
-  void run_layer(Flight& f);
-  num::Index retire(Flight& f, std::int64_t now_us, double service_us,
-                    const ResponseSink& sink);
+  /// Answers every request of the popped batch_ whose deadline passed
+  /// with a timed_out Response and compacts the rest in place (FIFO
+  /// order preserved). Returns the new batch size.
+  num::Index drop_expired(num::Index batch, std::int64_t now_us,
+                          const ResponseSink& sink);
+  /// Builds x_ from the first `batch` requests of batch_.
+  void build_input(num::Index batch);
 
   std::vector<const nn::LstmCell*> cells_;
   std::vector<const core::StatePruner*> pruners_;
@@ -177,7 +127,6 @@ class EngineShard {
   core::StackedEngine engine_;
   SessionStore sessions_;
   RequestBatcher batcher_;
-  bool pipeline_ = false;
   ShardStats stats_;
   std::atomic<std::uint64_t> timeouts_{0};
   std::vector<Request> batch_;    // reused pop_batch target
@@ -188,7 +137,6 @@ class EngineShard {
   std::vector<num::Matrix> h_;    // per-layer gathered state (B x dh)
   std::vector<num::Matrix> c_;
   num::Matrix dense_top_;         // top layer's dense h (B x dh)
-  std::vector<Flight> flights_;   // wavefront slots, layers() entries
 };
 
 }  // namespace zss::serve

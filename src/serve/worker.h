@@ -139,8 +139,7 @@ class ShardWorker {
   bool submit(const Request& r);
 
   /// Asks the worker to serve everything queued in one pass on its
-  /// next wakeup (through the layer wavefront when the shard
-  /// pipelines).
+  /// next wakeup (the shard's flush).
   void request_flush();
 
   /// Drain-then-exit: the worker serves its inbox and queue, then

@@ -94,9 +94,19 @@ class LiveLoopTest : public ::testing::Test {
     return log;
   }
 
+  /// cell_/pruner_ as a one-layer model with one-hot inputs.
+  ServeModel model() const {
+    ServeModel m;
+    m.cells = cells_;
+    m.pruners = pruners_;
+    return m;
+  }
+
   num::Rng rng_;
   nn::LstmCell cell_;
   core::StatePruner pruner_;
+  const nn::LstmCell* cells_[1] = {&cell_};
+  const core::StatePruner* pruners_[1] = {&pruner_};
 };
 
 TEST_F(LiveLoopTest, MultiProducerSubmissionMatchesOracleBitwise) {
@@ -435,7 +445,7 @@ TEST_F(LiveLoopTest, ShardServesFullBatchWhileEvictingAtCap) {
   policy.max_batch = 4;
   SessionTtl ttl;
   ttl.max_sessions = 5;
-  EngineShard shard(cell_, pruner_, policy, {}, ttl);
+  EngineShard shard(model(), policy, {}, ttl);
 
   std::uint64_t seq = 0;
   num::Index responses = 0;
@@ -499,7 +509,7 @@ TEST_F(LiveLoopTest, LruEvictionIsIndependentOfBatchGrouping) {
   // `split`: serve the [new 99, tail 10] pair as two batches instead
   // of one (what a replay with different wake timing can produce).
   const auto run = [&](bool split) {
-    EngineShard shard(cell_, pruner_, policy, {}, ttl);
+    EngineShard shard(model(), policy, {}, ttl);
     Outcome out;
     const ResponseSink sink = [&](const Response& r) {
       auto row = r.h;
@@ -574,12 +584,12 @@ TEST_F(LiveLoopTest, ShardTtlResetMatchesFreshSessionBitwise) {
     return last;
   };
 
-  EngineShard shard(cell_, pruner_, policy, {}, ttl);
+  EngineShard shard(model(), policy, {}, ttl);
   const std::vector<float> first = run(1, 0, shard);
   // Same session returns 5000us later: past the TTL, so it restarts —
   // and must match a fresh session served the same tokens exactly.
   const std::vector<float> after_gap = run(1, 5000, shard);
-  EngineShard fresh_shard(cell_, pruner_, policy, {}, ttl);
+  EngineShard fresh_shard(model(), policy, {}, ttl);
   const std::vector<float> fresh = run(9, 0, fresh_shard);
   EXPECT_EQ(after_gap, fresh);
   EXPECT_EQ(after_gap, first) << "same tokens from zero state";

@@ -42,9 +42,11 @@ TEST(ServingAllocTest, ShardHotLoopIsAllocationFreeOnceWarm) {
   num::Rng rng(7);
   nn::LstmCell cell(/*input_dim=*/6, /*hidden_dim=*/24, rng);
   core::StatePruner pruner(core::PrunerConfig::fixed(0.08f));
+  const nn::LstmCell* cells[] = {&cell};
+  const core::StatePruner* pruners[] = {&pruner};
   BatchPolicy policy;
   policy.max_batch = 4;
-  EngineShard shard(cell, pruner, policy);
+  EngineShard shard(ServeModel{cells, pruners}, policy);
 
   num::Index responses = 0;
   const ResponseSink sink = [&responses](const Response& r) {
@@ -104,9 +106,11 @@ TEST(ServingAllocTest, EpochStatsResetIsDocumentedAndWorks) {
   num::Rng rng(11);
   nn::LstmCell cell(4, 12, rng);
   core::StatePruner pruner(core::PrunerConfig::fixed(0.05f));
+  const nn::LstmCell* cells[] = {&cell};
+  const core::StatePruner* pruners[] = {&pruner};
   BatchPolicy policy;
   policy.max_batch = 2;
-  EngineShard shard(cell, pruner, policy);
+  EngineShard shard(ServeModel{cells, pruners}, policy);
   const ResponseSink sink = [](const Response&) {};
 
   for (int i = 0; i < 4; ++i) {

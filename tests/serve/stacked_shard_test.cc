@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "core/stacked_engine.h"
@@ -11,15 +12,16 @@
 #include "num/rng.h"
 #include "serve/pool.h"
 #include "serve/trace.h"
+#include "store/io.h"
 
 // Multi-layer serving determinism: an L-layer model served through the
 // pool must be bit-identical to a batch-of-one StackedEngine oracle —
-// at any shard count, any max_batch, with the layer-pipelined wavefront
-// on or off, at any parallel_for thread count, with or without an
-// embedding input mapping, and under TTL/cap churn (the wavefront's
-// hazard fences). The wavefront only runs inside EngineShard::flush(),
-// so these tests drive pool.flush directly (replay settles through
-// process_ready and never pipelines — serve/trace.cc).
+// at any shard count, any max_batch, at any parallel_for thread count,
+// with or without an embedding input mapping — and under TTL churn and
+// a capped session store, where no oracle is simple, the outputs must
+// not depend on how requests were grouped into batches or shards.
+// These tests drive each shard's flush directly: the same
+// process_ready loop that replay and live serving run.
 namespace zss::serve {
 namespace {
 
@@ -39,8 +41,8 @@ class StackedShardTest : public ::testing::Test {
   StackedShardTest() : rng_(161803) {
     trace_ = synthetic_trace(/*requests=*/180, /*sessions=*/7, /*vocab=*/kDx,
                              /*mean_gap_us=*/40, rng_);
-    // Back-to-back same-session arrivals: under pipelining this queues
-    // one session into two consecutive flights (the pinned-count path).
+    // Same-stamp arrivals of one session: the batcher must split them
+    // across consecutive batches (a batch never holds a session twice).
     for (int k = 0; k < 4; ++k) {
       TraceEvent e;
       e.arrival_us = trace_.back().arrival_us;
@@ -102,16 +104,17 @@ class StackedShardTest : public ::testing::Test {
     }
   }
 
-  /// Enqueues the whole trace and flushes once — the path that runs
-  /// the wavefront when `pipeline` is set.
-  void run_flush(num::Index shards, num::Index max_batch, bool pipeline,
-                 OutputLog& stored, OutputLog& dense,
-                 SessionTtl ttl = {}) {
-    PoolConfig config;
-    config.shards = shards;
-    config.policy.max_batch = max_batch;
-    config.session_ttl = ttl;
-    config.pipeline = pipeline;
+  /// Session-store counters summed over a pool's shards, so a churn
+  /// test can check that churn actually happened.
+  struct Churn {
+    std::uint64_t ttl_resets = 0;
+    std::uint64_t evicted = 0;
+    std::uint64_t restored = 0;
+  };
+
+  /// Enqueues the whole trace and flushes every shard once.
+  Churn run_flush(const PoolConfig& config, OutputLog& stored,
+                  OutputLog& dense) {
     EnginePool pool(model(), config);
     std::uint64_t seq = 0;
     for (const TraceEvent& e : trace_) {
@@ -128,10 +131,25 @@ class StackedShardTest : public ::testing::Test {
     };
     const std::int64_t end_us = trace_.back().arrival_us + 1;
     num::Index served = 0;
-    for (num::Index s = 0; s < shards; ++s) {
+    Churn churn;
+    for (num::Index s = 0; s < config.shards; ++s) {
       served += pool.shard(s).flush(end_us, sink);
+      const SessionStore& ss = pool.shard(s).sessions();
+      churn.ttl_resets += ss.ttl_resets();
+      churn.evicted += ss.evicted();
+      churn.restored += ss.restored();
     }
     EXPECT_EQ(served, static_cast<num::Index>(trace_.size()));
+    return churn;
+  }
+
+  static PoolConfig config(num::Index shards, num::Index max_batch,
+                           SessionTtl ttl = {}) {
+    PoolConfig c;
+    c.shards = shards;
+    c.policy.max_batch = max_batch;
+    c.session_ttl = ttl;
+    return c;
   }
 
   num::Rng rng_;
@@ -142,120 +160,116 @@ class StackedShardTest : public ::testing::Test {
   std::vector<TraceEvent> trace_;
 };
 
-TEST_F(StackedShardTest, LayerSweepPipelineOnOffMatchesOracleBitwise) {
+TEST_F(StackedShardTest, LayerShardBatchSweepMatchesOracleBitwise) {
   for (const num::Index layers : {1, 2, 3}) {
     build(layers);
     OutputLog want_stored, want_dense;
     oracle(layers, want_stored, want_dense);
-    for (const bool pipeline : {false, true}) {
-      for (const num::Index shards : {1, 2}) {
+    for (const num::Index shards : {1, 2}) {
+      for (const num::Index max_batch : {1, 2, 3, 8}) {
         OutputLog stored, dense;
-        run_flush(shards, /*max_batch=*/8, pipeline, stored, dense);
+        run_flush(config(shards, max_batch), stored, dense);
         EXPECT_EQ(stored, want_stored)
-            << "layers " << layers << " pipeline " << pipeline << " shards "
-            << shards;
+            << "layers " << layers << " shards " << shards << " max_batch "
+            << max_batch;
         EXPECT_EQ(dense, want_dense)
-            << "dense tap: layers " << layers << " pipeline " << pipeline
-            << " shards " << shards;
+            << "dense tap: layers " << layers << " shards " << shards
+            << " max_batch " << max_batch;
       }
     }
   }
 }
 
-TEST_F(StackedShardTest, WavefrontWithWorkerThreadsMatchesSequential) {
-  // The actual overlap: 3 layers, up to 3 flights ticking concurrently
-  // on parallel_for workers. Values must not move.
+TEST_F(StackedShardTest, WorkerThreadsMatchOracleBitwise) {
+  // max_batch 8 lets a batch hold all 7 sessions: more rows than
+  // kParallelGrain, so the row-parallel gemm splits across workers.
+  // Values must not move.
   build(3);
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense);
+  oracle(3, want_stored, want_dense);
   for (const int threads : {2, 4}) {
     ThreadGuard guard(threads);
     OutputLog stored, dense;
-    run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored,
-              dense);
+    run_flush(config(/*shards=*/1, /*max_batch=*/8), stored, dense);
     EXPECT_EQ(stored, want_stored) << "threads " << threads;
     EXPECT_EQ(dense, want_dense) << "threads " << threads;
   }
 }
 
-TEST_F(StackedShardTest, WavefrontBatchSizeSweepBitwiseIdentical) {
-  build(2);
-  OutputLog want_stored, want_dense;
-  oracle(2, want_stored, want_dense);
-  for (const num::Index max_batch : {1, 2, 3, 8}) {
-    OutputLog stored, dense;
-    run_flush(/*shards=*/1, max_batch, /*pipeline=*/true, stored, dense);
-    EXPECT_EQ(stored, want_stored) << "max_batch " << max_batch;
-  }
-}
-
-TEST_F(StackedShardTest, PipelineUnderTtlChurnMatchesSequential) {
-  // Lazy TTL resets force the wavefront's admission fence (an admit
-  // that would reset a pinned session must drain first). The fence is
-  // allowed to change batch boundaries, never values.
+TEST_F(StackedShardTest, TtlChurnIsIndependentOfGrouping) {
+  // Lazy TTL resets restart a session from zero state, decided from the
+  // session's own arrival gaps — never from batch or shard grouping.
   build(2);
   SessionTtl ttl;
   ttl.ttl_us = 900;  // several resets over the ~7200us trace
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense, ttl);
-  ThreadGuard guard(3);
-  OutputLog stored, dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored, dense,
-            ttl);
-  EXPECT_EQ(stored, want_stored);
-  EXPECT_EQ(dense, want_dense);
+  const Churn churn = run_flush(config(1, 4, ttl), want_stored, want_dense);
+  EXPECT_GT(churn.ttl_resets, 0u) << "the trace must exercise TTL resets";
+  for (const num::Index shards : {1, 2}) {
+    for (const num::Index max_batch : {1, 4}) {
+      OutputLog stored, dense;
+      run_flush(config(shards, max_batch, ttl), stored, dense);
+      EXPECT_EQ(stored, want_stored)
+          << "shards " << shards << " max_batch " << max_batch;
+      EXPECT_EQ(dense, want_dense)
+          << "shards " << shards << " max_batch " << max_batch;
+    }
+  }
 }
 
-TEST_F(StackedShardTest, PipelineUnderSessionCapMatchesSequential) {
-  // A capped store under pipelining: eviction may never hit a pinned
-  // lane (max_sessions > layers * max_batch is construction-enforced).
+TEST_F(StackedShardTest, SessionCapIsIndependentOfGrouping) {
+  // 7 sessions over a cap of 5: every shard-1 run evicts. Without a
+  // spill tier an evicted session forgets its state, which depends on
+  // the per-shard cap but never on batch grouping; with the tier every
+  // eviction restores bit-exact, so shard count cannot matter either.
   build(2);
   SessionTtl ttl;
   ttl.ttl_us = 1500;
-  ttl.max_sessions = 9;  // > 2 layers * 4 max_batch
+  ttl.max_sessions = 5;  // > max_batch 4: a victim always exists
+  {
+    OutputLog want_stored, want_dense;
+    const Churn churn =
+        run_flush(config(1, 4, ttl), want_stored, want_dense);
+    EXPECT_GT(churn.evicted, 0u) << "the cap must force evictions";
+    OutputLog stored, dense;
+    run_flush(config(1, 1, ttl), stored, dense);
+    EXPECT_EQ(stored, want_stored) << "forgetting eviction, max_batch 1";
+    EXPECT_EQ(dense, want_dense) << "forgetting eviction, max_batch 1";
+  }
+  const auto run_tiered = [&](num::Index shards, num::Index max_batch,
+                              OutputLog& stored, OutputLog& dense) {
+    store::MemEnv env;
+    PoolConfig c = config(shards, max_batch, ttl);
+    c.spill.dir = "tier";
+    c.spill.env = &env;
+    return run_flush(c, stored, dense);
+  };
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense, ttl);
-  ThreadGuard guard(2);
-  OutputLog stored, dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored, dense,
-            ttl);
-  EXPECT_EQ(stored, want_stored);
+  const Churn churn = run_tiered(1, 4, want_stored, want_dense);
+  EXPECT_GT(churn.restored, 0u) << "the tier must restore sessions";
+  for (const auto& [shards, max_batch] :
+       {std::pair<num::Index, num::Index>{1, 1}, {2, 4}, {2, 1}}) {
+    OutputLog stored, dense;
+    run_tiered(shards, max_batch, stored, dense);
+    EXPECT_EQ(stored, want_stored)
+        << "spill tier: shards " << shards << " max_batch " << max_batch;
+    EXPECT_EQ(dense, want_dense)
+        << "spill tier: shards " << shards << " max_batch " << max_batch;
+  }
 }
 
 TEST_F(StackedShardTest, QuantStackedShardSweepBitwiseIdentical) {
   build(2);
-  auto run_quant = [&](num::Index shards, bool pipeline) {
-    PoolConfig config;
-    config.shards = shards;
-    config.policy.max_batch = 8;
-    config.quant = core::QuantConfig::int8();
-    config.pipeline = pipeline;
-    EnginePool pool(model(), config);
-    std::uint64_t seq = 0;
-    for (const TraceEvent& e : trace_) {
-      Request r;
-      r.session = e.session;
-      r.token = e.token;
-      r.arrival_us = e.arrival_us;
-      r.seq = seq++;
-      pool.enqueue(r);
-    }
-    OutputLog log;
-    const ResponseSink sink = [&](const Response& r) {
-      log[r.session].emplace_back(r.h.begin(), r.h.end());
-    };
-    for (num::Index s = 0; s < shards; ++s) {
-      pool.shard(s).flush(trace_.back().arrival_us + 1, sink);
-    }
-    return log;
+  auto run_quant = [&](num::Index shards) {
+    PoolConfig c = config(shards, /*max_batch=*/8);
+    c.quant = core::QuantConfig::int8();
+    OutputLog stored, dense;
+    run_flush(c, stored, dense);
+    return stored;
   };
-  const OutputLog want = run_quant(1, false);
-  EXPECT_EQ(run_quant(2, false), want);
-  EXPECT_EQ(run_quant(1, true), want);
-  EXPECT_EQ(run_quant(2, true), want);
+  const OutputLog want = run_quant(1);
+  EXPECT_EQ(run_quant(2), want);
+  EXPECT_EQ(run_quant(4), want);
 }
 
 TEST_F(StackedShardTest, EmbeddingInputMapsTokensToRows) {
@@ -272,6 +286,7 @@ TEST_F(StackedShardTest, EmbeddingInputMapsTokensToRows) {
   config.policy.max_batch = 4;
   EnginePool pool(m, config);
   EXPECT_EQ(pool.model_info().vocab, embed.vocab());
+  EXPECT_EQ(pool.model_info().layers, 2);
 
   std::uint64_t seq = 0;
   for (const TraceEvent& e : trace_) {
@@ -313,25 +328,6 @@ TEST_F(StackedShardTest, EmbeddingInputMapsTokensToRows) {
     want[e.session].emplace_back(row.begin(), row.end());
   }
   EXPECT_EQ(stored, want);
-}
-
-TEST_F(StackedShardTest, PipelineActuallyOverlapped) {
-  // Guard against the wavefront silently degrading to sequential: with
-  // pipelining on, the shard must report pipeline() and serve the
-  // trace (the overlap itself is proven by the bit-identity tests
-  // above running at threads > 1; here we pin the mode wiring).
-  build(3);
-  PoolConfig config;
-  config.pipeline = true;
-  EnginePool pool(model(), config);
-  EXPECT_TRUE(pool.shard(0).pipeline());
-  EXPECT_EQ(pool.model_info().layers, 3);
-
-  build(1);  // single layer: pipelining must quietly turn itself off
-  PoolConfig single;
-  single.pipeline = true;
-  EnginePool spool(model(), single);
-  EXPECT_FALSE(spool.shard(0).pipeline());
 }
 
 }  // namespace

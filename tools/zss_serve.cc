@@ -30,10 +30,7 @@
 // zss_train: the architecture header decides layers/dh/input mapping,
 // the per-layer exported thresholds build the fixed pruners, and
 // --quant serves the int8 datapath on the grid the trainer recorded
-// (a checkpoint without a recorded grid refuses --quant). --pipeline
-// enables the layer wavefront on multi-layer models (serve/shard.h) —
-// in a shard's flush only (the flush verb, the final drain at shutdown);
-// live serving and trace replay run the sequential schedule;
+// (a checkpoint without a recorded grid refuses --quant).
 // --threads sets num::parallel_for workers. --ttl-us and
 // --max-sessions bound the per-shard session stores in either mode
 // (give the replay the same values to reproduce a recorded live run).
@@ -104,8 +101,7 @@ struct Args {
   bool dump = false;
   bool quant = false;  // int8 engine datapath (core::QuantConfig::int8())
   std::string model;   // v2 checkpoint path; empty = seeded random cell
-  bool pipeline = false;  // layer wavefront on multi-layer models
-  int threads = 1;        // num::parallel_for workers
+  int threads = 1;     // num::parallel_for workers
   // Explicit-flag tracking: the checkpoint header decides these, so
   // passing them alongside --model is a conflict, not a preference.
   bool dh_set = false, dx_set = false, threshold_set = false;
@@ -179,8 +175,6 @@ bool parse(int argc, char** argv, Args& args) {
       args.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("model")) {
       args.model = v;
-    } else if (a == "--pipeline") {
-      args.pipeline = true;
     } else if (const char* v = value("threads")) {
       args.threads = static_cast<int>(std::atol(v));
     } else if (a == "--dump") {
@@ -230,11 +224,6 @@ bool parse(int argc, char** argv, Args& args) {
   }
   if (!args.model.empty() && args.emit_trace > 0) {
     std::fprintf(stderr, "--model does not apply to --emit-trace\n");
-    return false;
-  }
-  if (args.pipeline && args.model.empty()) {
-    std::fprintf(stderr, "--pipeline requires --model (the random cell is "
-                         "single-layer; the wavefront needs layers > 1)\n");
     return false;
   }
   // Reject flag combinations that would otherwise be silently ignored
@@ -313,10 +302,7 @@ void usage() {
       "                 [--threshold=T] [--seed=S] [--ttl-us=T]\n"
       "                 [--max-sessions=N] [--dump] [--digests=FILE]\n"
       "                 [--spill-dir=DIR] [--spill-encoded] [--quant]\n"
-      "                 [--model=FILE] [--pipeline] [--threads=N]\n"
-      "                 (--pipeline runs the layer wavefront in flush\n"
-      "                 only: the flush verb and the drain at shutdown;\n"
-      "                 live serving and replay stay sequential)\n"
+      "                 [--model=FILE] [--threads=N]\n"
       "                 (--quant serves the int8 engine datapath; digests\n"
       "                 stay shard/batch-invariant — docs/exactness.md)\n"
       "                 (--model serves a trained v2 checkpoint from\n"
@@ -442,18 +428,6 @@ bool build_model(const Args& args, ServingAssets& out) {
   out.model.embedding = out.loaded.embedding.get();
   out.model.name = args.model;
   out.model.vocab = static_cast<num::Index>(spec.vocab);
-  // The shard enforces this with an abort; turn it into a usage error
-  // while we still can (pipelining pins up to layers batches at once).
-  const num::Index pin_span =
-      (args.pipeline ? static_cast<num::Index>(spec.layers) : 1) *
-      args.max_batch;
-  if (args.max_sessions > 0 && args.max_sessions <= pin_span) {
-    std::fprintf(stderr,
-                 "zss_serve: --max-sessions must exceed %lld "
-                 "(layers x max-batch pinned in flight with --pipeline)\n",
-                 static_cast<long long>(pin_span));
-    return false;
-  }
   return true;
 }
 
@@ -471,7 +445,6 @@ serve::PoolConfig pool_config(const Args& args, const ServingAssets& assets) {
                                   : store::JournalSync::kBatch;
   config.spill.journal_checkpoint_bytes = args.journal_checkpoint_bytes;
   config.quant = assets.quant;
-  config.pipeline = args.pipeline;
   return config;
 }
 
@@ -589,12 +562,12 @@ int run_replay(const Args& args) {
 
   const serve::ModelInfo& mi = pool.model_info();
   std::printf("zss_serve: kernel_backend=%s model=%s layers=%lld dh=%lld "
-              "vocab=%lld quant=%s pipeline=%s threads=%d\n",
+              "vocab=%lld quant=%s threads=%d\n",
               num::simd::active_backend().name, mi.name.c_str(),
               static_cast<long long>(mi.layers),
               static_cast<long long>(mi.dh),
               static_cast<long long>(mi.vocab), mi.quant ? "int8" : "off",
-              args.pipeline ? "on" : "off", args.threads);
+              args.threads);
   std::printf(
       "replayed %lld requests -> %lld responses in %lld batches "
       "(mean batch %.2f) over %lld shards, virtual end %lld us\n",
